@@ -7,6 +7,19 @@ the scaled consequents are aggregated pointwise with max.  The crisp
 output is the centroid of the aggregate, integrated by the midpoint
 rule over a fixed number of uniform samples of the output universe, so
 identical inputs always produce bit-identical outputs.
+
+``FuzzySystem`` compiles its tables once, at construction: every rule
+becomes a tuple of clause indices, output-term index, weight and AND/OR
+flag; every input membership function becomes its four corners, read
+with exactly the arithmetic of ``mf_eval``; and every output term's
+samples, sample mass and centroid are cached.  ``infer`` then only fills
+a list of rule strengths.  When a single output term fires it returns
+that term's cached centroid; otherwise it sums the sampled aggregate.
+
+The midpoint sums stay although the aggregate is piecewise linear and
+has a closed-form centroid: that form differs from the sampled sums in
+the last ulp, the closed loop amplifies the difference, and the bundled
+outputs are pinned to the bit.
 """
 
 from __future__ import annotations
@@ -129,6 +142,12 @@ class Rule:
             raise ValueError("rules take one or two antecedent clauses")
 
 
+def _corners(mf: MembershipFunction) -> tuple[float, float, float, float]:
+    """(left, top_lo, top_hi, right) as read by ``mf_eval``."""
+    pts = mf.points
+    return (pts[0], pts[1], pts[1], pts[2]) if len(pts) == 3 else pts
+
+
 @dataclass(eq=True)
 class FuzzySystem:
     """Two inputs, one output, and a rule base; immutable after construction."""
@@ -139,9 +158,14 @@ class FuzzySystem:
     rules: tuple[Rule, ...]
     resolution: int = 1001
 
+    # Compiled once in __post_init__; see the module docstring.
+    _input_corners: tuple = field(default=None, init=False, repr=False, compare=False)
+    _rule_table: tuple = field(default=None, init=False, repr=False, compare=False)
     _xs: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _term_values: dict = field(default=None, init=False, repr=False, compare=False)
-    _term_centroids: dict = field(default=None, init=False, repr=False, compare=False)
+    _term_values: tuple = field(default=None, init=False, repr=False, compare=False)
+    _term_masses: tuple = field(default=None, init=False, repr=False, compare=False)
+    _term_centroids: tuple = field(default=None, init=False, repr=False, compare=False)
+    _dx: float = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.inputs) != 2:
@@ -160,32 +184,62 @@ class FuzzySystem:
                     raise ValueError(f"variable {var!r} has no term {term!r}")
             if rule.consequent not in out_terms:
                 raise ValueError(f"output has no term {rule.consequent!r}")
+        self._compile()
 
-    def _ensure_sampled(self):
-        if self._xs is not None:
-            return
-        n = self.resolution
-        dx = (self.output.hi - self.output.lo) / n
-        xs = self.output.lo + (np.arange(n, dtype=float) + 0.5) * dx
-        self._xs = xs
-        self._term_values = {
-            term: np.array([mf_eval(mf, float(x)) for x in xs])
-            for term, mf in self.output.terms
+    def _compile(self):
+        in1, in2 = self.inputs
+        # Degrees of both inputs' terms live in one flat list, in1's first.
+        self._input_corners = (
+            tuple(_corners(mf) for _, mf in in1.terms),
+            tuple(_corners(mf) for _, mf in in2.terms),
+        )
+        offset = {in1.name: 0, in2.name: len(in1.terms)}
+        clause_index = {
+            (var.name, term): offset[var.name] + i
+            for var in self.inputs
+            for i, term in enumerate(var.term_names())
         }
-        self._term_centroids = {}
+        out_index = {term: k for k, term in enumerate(self.output.term_names())}
+        # A one-clause rule reads its clause twice: min(a, a) == max(a, a) == a.
+        self._rule_table = tuple(
+            (
+                clause_index[rule.antecedent[0]],
+                clause_index[rule.antecedent[-1]],
+                out_index[rule.consequent],
+                rule.weight,
+                rule.connective == AND,
+            )
+            for rule in self.rules
+        )
+
+        n = self.resolution
+        self._dx = (self.output.hi - self.output.lo) / n
+        xs = self.output.lo + (np.arange(n, dtype=float) + 0.5) * self._dx
+        self._xs = xs
+        self._term_values = tuple(
+            np.array([mf_eval(mf, float(x)) for x in xs]) for _, mf in self.output.terms
+        )
+        self._term_masses = tuple(float(values.sum()) for values in self._term_values)
+        self._term_centroids = tuple(
+            float(np.dot(xs, values) / mass) if mass > 0.0 else None
+            for values, mass in zip(self._term_values, self._term_masses)
+        )
 
     def term_centroid(self, term: str) -> float:
         """Centroid of one output term alone, on the same sample grid as infer."""
-        self._ensure_sampled()
-        if term not in self._term_centroids:
-            values = self._term_values[term]
-            mass = float(values.sum())
-            if mass <= 0.0:
-                raise EmptyAggregate(
-                    f"term {term!r} of {self.name!r} has no mass on the sample grid"
-                )
-            self._term_centroids[term] = float(np.dot(self._xs, values) / mass)
-        return self._term_centroids[term]
+        for k, (name, _) in enumerate(self.output.terms):
+            if name == term:
+                return self._term_centroid(k)
+        raise KeyError(term)
+
+    def _term_centroid(self, k: int) -> float:
+        centroid = self._term_centroids[k]
+        if centroid is None:
+            raise EmptyAggregate(
+                f"term {self.output.terms[k][0]!r} of {self.name!r} "
+                "has no mass on the sample grid"
+            )
+        return centroid
 
     def infer(self, x1: float, x2: float) -> float:
         """Crisp output for the two (already clamped) crisp inputs.
@@ -193,46 +247,51 @@ class FuzzySystem:
         Raises EmptyAggregate when no rule fires, which is unreachable for
         a rule base covering the whole input grid.
         """
-        self._ensure_sampled()
-        in1, in2 = self.inputs
-        degrees = {
-            in1.name: fuzzify(in1, x1),
-            in2.name: fuzzify(in2, x2),
-        }
-        strengths: dict[str, float] = {}
-        for rule in self.rules:
-            clause = [degrees[var][term] for var, term in rule.antecedent]
-            activation = min(clause) if rule.connective == AND else max(clause)
-            fired = rule.weight * activation
-            if fired > strengths.get(rule.consequent, 0.0):
-                strengths[rule.consequent] = fired
+        corners1, corners2 = self._input_corners
+        # mf_eval inlined, term by term: in1's degrees, then in2's.
+        degrees = [
+            0.0 if x < left or x > right
+            else 1.0 if top_lo <= x <= top_hi
+            else (x - left) / (top_lo - left) if x < top_lo
+            else (right - x) / (right - top_hi)
+            for x, corners in ((x1, corners1), (x2, corners2))
+            for left, top_lo, top_hi, right in corners
+        ]
 
-        active = [(t, s) for t, s in strengths.items() if s > 0.0]
+        strengths = [0.0] * len(self._term_values)
+        for i, j, k, weight, is_and in self._rule_table:
+            a = degrees[i]
+            b = degrees[j]
+            # The comparisons of the builtin min(a, b) and max(a, b).
+            if is_and:
+                activation = b if b < a else a
+            else:
+                activation = b if b > a else a
+            fired = weight * activation
+            if fired > strengths[k]:
+                strengths[k] = fired
+
+        active = [k for k, strength in enumerate(strengths) if strength > 0.0]
         if not active:
             raise EmptyAggregate(f"no rule of {self.name!r} fired at ({x1}, {x2})")
-        dx = (self.output.hi - self.output.lo) / self.resolution
 
         if len(active) == 1:
             # A uniformly scaled term keeps its centroid; evaluating it on the
             # unscaled samples avoids spurious last-ulp drift.
-            term, strength = active[0]
-            values = self._term_values[term]
-            if strength * float(values.sum()) * dx < _EMPTY_INTEGRAL:
+            k = active[0]
+            if strengths[k] * self._term_masses[k] * self._dx < _EMPTY_INTEGRAL:
                 raise EmptyAggregate(
                     f"aggregate of {self.name!r} integrates to ~0 at ({x1}, {x2})"
                 )
-            return self.term_centroid(term)
+            return self._term_centroid(k)
 
-        aggregate = None
-        for term, strength in active:
-            scaled = strength * self._term_values[term]
-            if aggregate is None:
-                aggregate = scaled
-            else:
-                np.maximum(aggregate, scaled, out=aggregate)
+        values = self._term_values
+        aggregate = strengths[active[0]] * values[active[0]]
+        for k in active[1:]:
+            np.maximum(aggregate, strengths[k] * values[k], out=aggregate)
 
         total = float(aggregate.sum())
-        if total * dx < _EMPTY_INTEGRAL:
+        if total * self._dx < _EMPTY_INTEGRAL:
             raise EmptyAggregate(
                 f"aggregate of {self.name!r} integrates to ~0 at ({x1}, {x2})"
             )

@@ -56,7 +56,8 @@ def grid_step(
     p_pv = pv_power(omega_cmd_rad_s, p_avail_w, params)
     p_aux = aux_power(omega_cmd_rad_s, params)
     p_bat = p_pv + p_aux - p_load_w
-    if abs(p_bat) > _SLACK_LIMIT_FACTOR * params.p_charge_max_w:
+    # Negated so that a NaN power fails the check too.
+    if not abs(p_bat) <= _SLACK_LIMIT_FACTOR * params.p_charge_max_w:
         raise SlackOverload(
             f"battery asked for {p_bat:.0f} W "
             f"(limit {_SLACK_LIMIT_FACTOR * params.p_charge_max_w:.0f} W)"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from operator import add, attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ _PARAM_FIELDS = (
 
 @dataclass(eq=False)
 class Profile:
-    """Ordered (t, power) samples; strictly increasing t, non-negative power."""
+    """Ordered (t, power) samples: finite, strictly increasing t, non-negative power."""
 
     name: str
     t_s: np.ndarray
@@ -66,6 +67,8 @@ class Profile:
         self.power_w = np.asarray(self.power_w, dtype=float)
         if self.t_s.size < 2:
             raise ValidationError(f"profile {self.name!r} needs at least 2 samples")
+        if not (np.all(np.isfinite(self.t_s)) and np.all(np.isfinite(self.power_w))):
+            raise ValidationError(f"profile {self.name!r} has non-finite values")
         if not np.all(np.diff(self.t_s) > 0):
             raise ValidationError(f"profile {self.name!r} times must strictly increase")
         if np.any(self.power_w < 0):
@@ -228,10 +231,15 @@ def _format(value: float) -> str:
     return f"{value + 0.0:.6g}"
 
 
+_TRACE_ROW = ",".join(["%.6g"] * len(TRACE_FIELDS))
+_TRACE_ZEROS = (0.0,) * len(TRACE_FIELDS)
+
+
 def render_trace(trace: list[TimeStepRecord]) -> str:
+    # The text of _format on every value: adding the zeros is its + 0.0 fold.
+    values = attrgetter(*TRACE_FIELDS)
     lines = [",".join(TRACE_FIELDS)]
-    for r in trace:
-        lines.append(",".join(_format(getattr(r, f)) for f in TRACE_FIELDS))
+    lines.extend(_TRACE_ROW % tuple(map(add, values(r), _TRACE_ZEROS)) for r in trace)
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,14 @@
 """Brute-force reference for the fuzzy pipeline, kept independent of the
 package implementation: membership functions are evaluated vectorially from
 their breakpoints, every rule contributes its own scaled consequent, and the
-centroid comes from plain Riemann summation on a fine grid."""
+centroid comes from plain Riemann summation on a fine grid.
+
+A second reference, ``infer_sampled_seed``, keeps the package's original
+sampled inference so the compiled one can be checked to the bit."""
 
 import numpy as np
+
+from nanogrid_ems.errors import EmptyAggregate
 
 FINE_SAMPLES = 1_000_000
 
@@ -68,3 +73,106 @@ def calibrated_shift_reference(system, bound, x1, x2, samples=FINE_SAMPLES):
     raw = infer_reference(system, x1, x2, samples)
     frac = (raw - c0) / (c1 - c0)
     return bound * min(1.0, max(0.0, frac))
+
+
+# -- the package's original sampled inference, kept as a second reference --
+#
+# Verbatim copies of the package's original dict-and-numpy ``mf_eval``,
+# ``fuzzify``, sampling, ``term_centroid`` and ``infer``.  The compiled
+# ``FuzzySystem`` must agree with them to the bit.
+
+_EMPTY_INTEGRAL = 1e-12
+# (system, xs, term values, term centroids) of the last system sampled.
+_seed_cache = None
+
+
+def _mf_eval_seed(mf, x):
+    pts = mf.points
+    if len(pts) == 3:
+        left, top_lo, right = pts
+        top_hi = top_lo
+    else:
+        left, top_lo, top_hi, right = pts
+    if x < left or x > right:
+        return 0.0
+    if top_lo <= x <= top_hi:
+        return 1.0
+    if x < top_lo:
+        return (x - left) / (top_lo - left)
+    return (right - x) / (right - top_hi)
+
+
+def _fuzzify_seed(var, x):
+    return {t: _mf_eval_seed(mf, x) for t, mf in var.terms}
+
+
+def _sampled_seed(system):
+    global _seed_cache
+    if _seed_cache is None or _seed_cache[0] is not system:
+        n = system.resolution
+        dx = (system.output.hi - system.output.lo) / n
+        xs = system.output.lo + (np.arange(n, dtype=float) + 0.5) * dx
+        term_values = {
+            term: np.array([_mf_eval_seed(mf, float(x)) for x in xs])
+            for term, mf in system.output.terms
+        }
+        _seed_cache = (system, xs, term_values, {})
+    return _seed_cache[1:]
+
+
+def term_centroid_seed(system, term):
+    xs, term_values, term_centroids = _sampled_seed(system)
+    if term not in term_centroids:
+        values = term_values[term]
+        mass = float(values.sum())
+        if mass <= 0.0:
+            raise EmptyAggregate(
+                f"term {term!r} of {system.name!r} has no mass on the sample grid"
+            )
+        term_centroids[term] = float(np.dot(xs, values) / mass)
+    return term_centroids[term]
+
+
+def infer_sampled_seed(system, x1, x2):
+    xs, term_values, _ = _sampled_seed(system)
+    in1, in2 = system.inputs
+    degrees = {
+        in1.name: _fuzzify_seed(in1, x1),
+        in2.name: _fuzzify_seed(in2, x2),
+    }
+    strengths = {}
+    for rule in system.rules:
+        clause = [degrees[var][term] for var, term in rule.antecedent]
+        activation = min(clause) if rule.connective == "and" else max(clause)
+        fired = rule.weight * activation
+        if fired > strengths.get(rule.consequent, 0.0):
+            strengths[rule.consequent] = fired
+
+    active = [(t, s) for t, s in strengths.items() if s > 0.0]
+    if not active:
+        raise EmptyAggregate(f"no rule of {system.name!r} fired at ({x1}, {x2})")
+    dx = (system.output.hi - system.output.lo) / system.resolution
+
+    if len(active) == 1:
+        term, strength = active[0]
+        values = term_values[term]
+        if strength * float(values.sum()) * dx < _EMPTY_INTEGRAL:
+            raise EmptyAggregate(
+                f"aggregate of {system.name!r} integrates to ~0 at ({x1}, {x2})"
+            )
+        return term_centroid_seed(system, term)
+
+    aggregate = None
+    for term, strength in active:
+        scaled = strength * term_values[term]
+        if aggregate is None:
+            aggregate = scaled
+        else:
+            np.maximum(aggregate, scaled, out=aggregate)
+
+    total = float(aggregate.sum())
+    if total * dx < _EMPTY_INTEGRAL:
+        raise EmptyAggregate(
+            f"aggregate of {system.name!r} integrates to ~0 at ({x1}, {x2})"
+        )
+    return float(np.dot(xs, aggregate) / total)

@@ -61,6 +61,24 @@ def test_run_missing_profile_names_path(tmp_path, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+def test_nan_in_profile_is_one_error_line(tmp_path, capsys):
+    write_profile(tmp_path / "pv.csv", ["0,2230", "300,nan", "600,2230"])
+    write_profile(tmp_path / "load.csv", ["0,100", "600,100"])
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        "name = nan\npv_profile = pv.csv\nload_profile = load.csv\n"
+        "soc_init_pct = 60\nduration_s = 600\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "non-finite" in lines[0]
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_run_missing_scenario(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
     assert "nope.cfg" in capsys.readouterr().err

@@ -3,13 +3,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanogrid_ems.errors import EmptyAggregate
 from nanogrid_ems.fuzzy import (
+    AND,
+    OR,
     FuzzySystem,
     LinguisticVariable,
+    MembershipFunction,
     Rule,
     fuzzify,
     mf_eval,
@@ -17,7 +20,7 @@ from nanogrid_ems.fuzzy import (
     triangular,
 )
 
-from reference_fuzzy import infer_reference
+from reference_fuzzy import infer_reference, infer_sampled_seed, term_centroid_seed
 
 STANDARD_TERMS = (
     ("low", triangular(0.0, 0.0, 0.5)),
@@ -327,3 +330,107 @@ def _random_case(rng):
         output, rules,
     )
     return system, rng.random(), rng.random()
+
+
+# -- the compiled rule base against the original sampled inference ----------
+
+
+@st.composite
+def membership_functions(draw, lo, hi):
+    """Triangles and trapezoids, with or without a shoulder, inside [lo, hi]."""
+    points = sorted(draw(st.lists(st.floats(lo, hi), min_size=3, max_size=4)))
+    shoulder = draw(st.sampled_from(["none", "left", "right"]))
+    if shoulder == "left":
+        points[1] = points[0]
+    elif shoulder == "right":
+        points[-2] = points[-1]
+    return MembershipFunction(tuple(points))
+
+
+@st.composite
+def variables(draw, name, max_terms):
+    lo = draw(st.floats(-2.0, 1.0))
+    hi = lo + draw(st.floats(0.1, 3.0))
+    count = draw(st.integers(1, max_terms))
+    terms = tuple(
+        (f"{name}{i}", draw(membership_functions(lo, hi))) for i in range(count)
+    )
+    return LinguisticVariable(name, lo, hi, terms)
+
+
+@st.composite
+def general_systems(draw):
+    """Any valid two-input system: AND/OR, weights in [0, 1], one- and
+    two-clause rules over either variable in either order."""
+    a, b = draw(variables("a", 4)), draw(variables("b", 4))
+    output = draw(variables("out", 3))
+
+    def clause():
+        var = draw(st.sampled_from([a, b]))
+        return var.name, draw(st.sampled_from(var.term_names()))
+
+    rules = tuple(
+        Rule(
+            antecedent=tuple(clause() for _ in range(draw(st.integers(1, 2)))),
+            consequent=draw(st.sampled_from(output.term_names())),
+            connective=draw(st.sampled_from([AND, OR])),
+            weight=draw(st.floats(0.0, 1.0)),
+        )
+        for _ in range(draw(st.integers(1, 9)))
+    )
+    inputs = (a, b) if draw(st.booleans()) else (b, a)
+    resolution = draw(st.integers(3, 2001))
+    return FuzzySystem("general", inputs, output, rules, resolution)
+
+
+def crisp_inputs(var):
+    """Points inside and beyond the universe, and every breakpoint exactly."""
+    breakpoints = [p for _, mf in var.terms for p in mf.points]
+    return st.one_of(
+        st.floats(var.lo - 0.5, var.hi + 0.5), st.sampled_from(breakpoints)
+    )
+
+
+def assert_same_as_seed(system, x1, x2):
+    try:
+        expected = infer_sampled_seed(system, x1, x2)
+    except EmptyAggregate as seed_error:
+        with pytest.raises(EmptyAggregate) as error:
+            system.infer(x1, x2)
+        assert str(error.value) == str(seed_error)
+        return
+    # Equal to the bit, the sign of zero included.
+    assert system.infer(x1, x2).hex() == expected.hex()
+
+
+class TestCompiledMatchesSeed:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_general_systems_bit_identical(self, data):
+        system = data.draw(general_systems())
+        in1, in2 = system.inputs
+        for _ in range(data.draw(st.integers(1, 8))):
+            x1 = data.draw(crisp_inputs(in1))
+            x2 = data.draw(crisp_inputs(in2))
+            assert_same_as_seed(system, x1, x2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(general_systems())
+    def test_term_centroids_bit_identical(self, system):
+        for term in system.output.term_names():
+            try:
+                expected = term_centroid_seed(system, term)
+            except EmptyAggregate:
+                with pytest.raises(EmptyAggregate):
+                    system.term_centroid(term)
+                continue
+            assert system.term_centroid(term).hex() == expected.hex()
+
+    @pytest.mark.parametrize("guard", ["overcharge_guard", "depletion_guard"])
+    def test_guards_bit_identical_on_grid(self, ems, guard):
+        system = getattr(ems, guard)
+        # i / 40 is exact at the corners and at every input breakpoint.
+        grid = [i / 40 for i in range(41)]
+        for x1 in grid:
+            for x2 in grid:
+                assert_same_as_seed(system, x1, x2)

@@ -89,6 +89,11 @@ class TestGridStep:
         with pytest.raises(SlackOverload):
             grid_step(params.omega_nom_rad_s, 0.0, 9000.0, params)
 
+    @pytest.mark.parametrize("avail,load", [(float("nan"), 100.0), (0.0, float("nan"))])
+    def test_nan_power_fails_the_slack_check(self, params, avail, load):
+        with pytest.raises(SlackOverload):
+            grid_step(params.omega_nom_rad_s, avail, load, params)
+
     @settings(max_examples=80)
     @given(
         st.floats(min_value=314.085, max_value=314.33),

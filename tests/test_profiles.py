@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nanogrid_ems.controller import FuzzyEms, NanogridParams
-from nanogrid_ems.engine import Scenario, SummaryMetrics, TimeStepRecord
+from nanogrid_ems.engine import TRACE_FIELDS, Scenario, SummaryMetrics, TimeStepRecord
 from nanogrid_ems.errors import (
     ParseError,
     ProfileOutOfRange,
@@ -58,6 +60,19 @@ class TestLoadProfile:
     def test_negative_power_rejected(self):
         with pytest.raises(ValidationError):
             load_profile(io.StringIO(profile_text(["0,-5", "60,1"])))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,0", "60,nan", "120,1"],
+            ["0,0", "60,inf"],
+            ["0,0", "nan,1", "120,1"],
+            ["-inf,0", "60,1"],
+        ],
+    )
+    def test_non_finite_values_rejected(self, rows):
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_profile(io.StringIO(profile_text(rows)))
 
 
 class TestSampleProfile:
@@ -216,6 +231,21 @@ class TestWriteOutputs:
         text = render_trace(trace)
         assert "314.327" in text
         assert "1234.57" in text
+
+    @given(st.lists(st.floats(), min_size=len(TRACE_FIELDS), max_size=len(TRACE_FIELDS)))
+    def test_rows_match_per_value_format(self, values):
+        # One template per row gives the text of formatting each value alone,
+        # negative zero folded to 0.
+        record = TimeStepRecord(*values)
+        row = render_trace([record]).splitlines()[1]
+        assert row == ",".join(f"{v + 0.0:.6g}" for v in values)
+
+    def test_negative_zero_folds(self):
+        (record,) = self._one_record_trace()
+        record = replace(record, d_omega_minus=-0.0, p_bat_w=-0.0)
+        row = render_trace([record]).splitlines()[1].split(",")
+        assert row[TRACE_FIELDS.index("d_omega_minus")] == "0"
+        assert row[TRACE_FIELDS.index("p_bat_w")] == "0"
 
 
 class TestLoadScenario:

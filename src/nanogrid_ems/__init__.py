@@ -14,35 +14,28 @@ from .controller import (
     FuzzyEms,
     NanogridParams,
     ProportionalEms,
-    ems_step,
-    flc_shift_minus,
-    flc_shift_plus,
     make_controller,
     normalize_charge,
     normalize_discharge,
     normalize_soc_high,
     normalize_soc_low,
-    proportional_step,
 )
-from .engine import Scenario, SummaryMetrics, TimeStepRecord, run_scenario, summarize
+from .engine import Profile, Scenario, SummaryMetrics, Trace, run_scenario, summarize
 from .fuzzy import (
     FuzzySystem,
     LinguisticVariable,
     MembershipFunction,
     Rule,
     fuzzify,
-    infer,
     mf_eval,
     trapezoidal,
     triangular,
 )
 from .model import BusState, aux_power, battery_soc_update, grid_step, pv_power
 from .profiles import (
-    Profile,
     load_profile,
     load_scenario,
     parse_scenario,
     render_scenario,
-    sample_profile,
     write_outputs,
 )

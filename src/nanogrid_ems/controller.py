@@ -9,8 +9,8 @@ two shifts; a proportional controller is provided as a baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 from .fuzzy import FuzzySystem, LinguisticVariable, Rule, triangular
@@ -18,6 +18,14 @@ from .fuzzy import FuzzySystem, LinguisticVariable, Rule, triangular
 
 def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
+
+
+def require_finite(config) -> None:
+    """Reject a dataclass whose float fields include a NaN or an infinity."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +48,9 @@ class NanogridParams:
     omega_nom_rad_s: float = 314.16
     m_pv_rad_s_per_w: float = 0.75e-4
     m_aux_rad_s_per_w: float = 0.75e-4
-    # Reactive droop; kept for configuration completeness, not simulated.
-    n_v_per_var: float = 0.75e-4
 
     def __post_init__(self):
+        require_finite(self)
         if not self.soc_min_pct < self.soc_min_plus10_pct < self.soc_max_pct:
             raise ValidationError("SOC thresholds must be ordered min < min+10 < max")
         positive = (
@@ -254,37 +261,11 @@ class ProportionalEms:
         return FrequencyCommand(plus, minus, p.omega_nom_rad_s + plus + minus)
 
 
-CONTROLLER_KINDS = ("flc", "proportional")
+_CONTROLLERS = {"flc": FuzzyEms, "proportional": ProportionalEms}
+CONTROLLER_KINDS = tuple(_CONTROLLERS)
 
 
 def make_controller(kind: str, params: NanogridParams):
-    if kind == "flc":
-        return FuzzyEms(params)
-    if kind == "proportional":
-        return ProportionalEms(params)
-    raise ValidationError(f"unknown controller kind {kind!r}")
-
-
-@lru_cache(maxsize=8)
-def _cached_fuzzy_ems(params: NanogridParams) -> FuzzyEms:
-    return FuzzyEms(params)
-
-
-def flc_shift_plus(d_soc_high: float, d_charge: float, params: NanogridParams) -> float:
-    return _cached_fuzzy_ems(params).shift_plus(d_soc_high, d_charge)
-
-
-def flc_shift_minus(
-    d_soc_low: float, d_discharge: float, params: NanogridParams
-) -> float:
-    return _cached_fuzzy_ems(params).shift_minus(d_soc_low, d_discharge)
-
-
-def ems_step(state: BatteryState, params: NanogridParams) -> FrequencyCommand:
-    """One fuzzy supervisory step from a measured battery state."""
-    return _cached_fuzzy_ems(params).step(state)
-
-
-def proportional_step(state: BatteryState, params: NanogridParams) -> FrequencyCommand:
-    """One baseline proportional step from a measured battery state."""
-    return ProportionalEms(params).step(state)
+    if kind not in _CONTROLLERS:
+        raise ValidationError(f"unknown controller kind {kind!r}")
+    return _CONTROLLERS[kind](params)

@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .controller import BatteryState, NanogridParams, make_controller
+from .controller import (
+    CONTROLLER_KINDS,
+    BatteryState,
+    NanogridParams,
+    make_controller,
+    require_finite,
+)
 from .errors import EmptyTrace, ProfileOutOfRange, ValidationError
 from .model import battery_soc_update, grid_step
-
-if TYPE_CHECKING:  # profiles imports this module; avoid the cycle at runtime
-    from .profiles import Profile
 
 # Limit excursions are tolerated up to 5% of the limit for at most this many
 # consecutive steps, absorbing the one-step measurement delay; anything
@@ -28,49 +30,95 @@ VIOLATION_BAND_FRACTION = 0.05
 VIOLATION_MAX_RUN = 3
 SOC_BAND_PCT = 0.1
 
+# Largest step count a scenario may ask for (about 116 days at dt = 1 s);
+# the trace columns are allocated up front.
+MAX_STEPS = 10_000_000
 
-@dataclass(frozen=True)
-class Scenario:
-    """Everything needed to reproduce one run; profiles are file references."""
+
+@dataclass(eq=False)
+class Profile:
+    """Ordered (t, power) samples: finite, strictly increasing t, non-negative power."""
 
     name: str
+    t_s: np.ndarray
+    power_w: np.ndarray
+
+    def __post_init__(self):
+        self.t_s = np.asarray(self.t_s, dtype=float)
+        self.power_w = np.asarray(self.power_w, dtype=float)
+        if self.t_s.size < 2:
+            raise ValidationError(f"profile {self.name!r} needs at least 2 samples")
+        if not (np.all(np.isfinite(self.t_s)) and np.all(np.isfinite(self.power_w))):
+            raise ValidationError(f"profile {self.name!r} has non-finite values")
+        if not np.all(np.diff(self.t_s) > 0):
+            raise ValidationError(f"profile {self.name!r} times must strictly increase")
+        if np.any(self.power_w < 0):
+            raise ValidationError(f"profile {self.name!r} has negative power values")
+
+    def sample(self, ts: np.ndarray, duration_s: float) -> np.ndarray:
+        """Linear interpolation at ``ts``; the profile must span [0, duration_s]."""
+        if self.t_s[0] > 0.0 or self.t_s[-1] < duration_s:
+            raise ProfileOutOfRange(
+                f"profile {self.name!r} spans [{self.t_s[0]:g}, {self.t_s[-1]:g}] s "
+                f"but the scenario needs [0, {duration_s:g}] s"
+            )
+        return np.interp(ts, self.t_s, self.power_w)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    """Everything needed to reproduce one run; profiles are file references.
+
+    The fields after ``params`` are the config keys, in config order.
+    """
+
     params: NanogridParams
-    soc_init_pct: float
+    name: str = "scenario"
     pv_profile: str
     load_profile: str
     load_multiplier: float = 1.0
-    controller: str = "flc"
+    soc_init_pct: float
+    controller: str = CONTROLLER_KINDS[0]
     dt_s: float = 1.0
     duration_s: float = 43200.0
 
     def __post_init__(self):
+        require_finite(self)
         if not self.dt_s > 0:
             raise ValidationError("dt must be positive")
         if self.duration_s < self.dt_s:
             raise ValidationError("duration must be at least one step")
+        # Compared before _step_count rounds it up, as the quotient may be inf.
+        if self.duration_s / self.dt_s - 1e-9 > MAX_STEPS:
+            raise ValidationError(f"duration / dt exceeds {MAX_STEPS} steps")
         if not self.load_multiplier > 0:
             raise ValidationError("load multiplier must be positive")
         if not 0.0 <= self.soc_init_pct <= 100.0:
             raise ValidationError("initial soc outside [0, 100]")
-        if self.controller not in ("flc", "proportional"):
+        if self.controller not in CONTROLLER_KINDS:
             raise ValidationError(f"unknown controller kind {self.controller!r}")
 
 
-@dataclass(frozen=True)
-class TimeStepRecord:
-    t_s: float
-    p_pv_avail_w: float
-    p_pv_w: float
-    p_aux_w: float
-    p_load_w: float
-    p_bat_w: float
-    soc_pct: float
-    omega_rad_s: float
-    d_omega_plus: float
-    d_omega_minus: float
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One run, one float64 column per quantity and one row per step."""
+
+    t_s: np.ndarray
+    p_pv_avail_w: np.ndarray
+    p_pv_w: np.ndarray
+    p_aux_w: np.ndarray
+    p_load_w: np.ndarray
+    p_bat_w: np.ndarray
+    soc_pct: np.ndarray
+    omega_rad_s: np.ndarray
+    d_omega_plus: np.ndarray
+    d_omega_minus: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t_s)
 
 
-TRACE_FIELDS = tuple(f.name for f in fields(TimeStepRecord))
+TRACE_FIELDS = tuple(f.name for f in fields(Trace))
 
 
 @dataclass(frozen=True)
@@ -99,91 +147,75 @@ def _step_count(duration_s: float, dt_s: float) -> int:
     return int(math.ceil(duration_s / dt_s - 1e-9))
 
 
-def _sample_all(profile: Profile, ts: np.ndarray, duration_s: float) -> np.ndarray:
-    if profile.t_s[0] > 0.0 or profile.t_s[-1] < duration_s:
-        raise ProfileOutOfRange(
-            f"profile {profile.name!r} spans [{profile.t_s[0]:g}, {profile.t_s[-1]:g}] s "
-            f"but the scenario needs [0, {duration_s:g}] s"
-        )
-    return np.interp(ts, profile.t_s, profile.power_w)
-
-
-def run_scenario(
-    scenario: Scenario, pv: Profile, load: Profile
-) -> list[TimeStepRecord]:
+def run_scenario(scenario: Scenario, pv: Profile, load: Profile) -> Trace:
     """Run the closed loop; identical inputs give a bit-identical trace."""
     params = scenario.params
     controller = make_controller(scenario.controller, params)
     n = _step_count(scenario.duration_s, scenario.dt_s)
     ts = np.arange(n, dtype=float) * scenario.dt_s
-    pv_avail = _sample_all(pv, ts, scenario.duration_s)
-    load_w = _sample_all(load, ts, scenario.duration_s) * scenario.load_multiplier
+    pv_avail = pv.sample(ts, scenario.duration_s)
+    load_w = load.sample(ts, scenario.duration_s) * scenario.load_multiplier
 
+    p_pv, p_aux, p_bat, soc_pct, omega, d_plus, d_minus = np.empty((7, n))
     soc = scenario.soc_init_pct
     prev_p_bat = 0.0
-    trace: list[TimeStepRecord] = []
     for k in range(n):
         cmd = controller.step(BatteryState(soc, prev_p_bat))
         bus = grid_step(cmd.omega_cmd, float(pv_avail[k]), float(load_w[k]), params)
         soc = battery_soc_update(BatteryState(soc, bus.p_bat_w), scenario.dt_s, params)
-        trace.append(
-            TimeStepRecord(
-                t_s=float(ts[k]),
-                p_pv_avail_w=bus.p_pv_avail_w,
-                p_pv_w=bus.p_pv_w,
-                p_aux_w=bus.p_aux_w,
-                p_load_w=bus.p_load_w,
-                p_bat_w=bus.p_bat_w,
-                soc_pct=soc,
-                omega_rad_s=bus.omega_rad_s,
-                d_omega_plus=cmd.d_omega_plus,
-                d_omega_minus=cmd.d_omega_minus,
-            )
-        )
+        p_pv[k] = bus.p_pv_w
+        p_aux[k] = bus.p_aux_w
+        p_bat[k] = bus.p_bat_w
+        soc_pct[k] = soc
+        omega[k] = bus.omega_rad_s
+        d_plus[k] = cmd.d_omega_plus
+        d_minus[k] = cmd.d_omega_minus
         prev_p_bat = bus.p_bat_w
-    return trace
+    return Trace(
+        t_s=ts,
+        p_pv_avail_w=pv_avail,
+        p_pv_w=p_pv,
+        p_aux_w=p_aux,
+        p_load_w=load_w,
+        p_bat_w=p_bat,
+        soc_pct=soc_pct,
+        omega_rad_s=omega,
+        d_omega_plus=d_plus,
+        d_omega_minus=d_minus,
+    )
 
 
-def _count_episodes(flags) -> int:
+def _count_episodes(flags: np.ndarray) -> int:
     """Number of runs of consecutive True flags longer than the tolerated run."""
-    episodes = 0
-    run = 0
-    for flag in flags:
-        run = run + 1 if flag else 0
-        if run == VIOLATION_MAX_RUN + 1:
-            episodes += 1
-    return episodes
+    edges = np.diff(flags.astype(np.int8), prepend=0, append=0)
+    run_lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+    return int(np.count_nonzero(run_lengths > VIOLATION_MAX_RUN))
 
 
-def summarize(
-    trace: list[TimeStepRecord], params: NanogridParams, dt_s: float
-) -> SummaryMetrics:
+def summarize(trace: Trace, params: NanogridParams, dt_s: float) -> SummaryMetrics:
     """Pure aggregation of one trace; idempotent."""
-    if not trace:
+    if not len(trace):
         raise EmptyTrace("cannot summarize an empty trace")
     hours = dt_s / 3600.0
     charge_band = (1.0 + VIOLATION_BAND_FRACTION) * params.p_charge_max_w
     discharge_band = (1.0 + VIOLATION_BAND_FRACTION) * params.p_discharge_max_w
 
-    p_bat = [r.p_bat_w for r in trace]
-    soc = [r.soc_pct for r in trace]
-    omega = [r.omega_rad_s for r in trace]
+    p_bat, soc, omega = trace.p_bat_w, trace.soc_pct, trace.omega_rad_s
+    # Python's sum keeps the original order of addition for the energy totals;
+    # numpy's pairwise sum can differ in the last bit.
+    curtailed = (trace.p_pv_avail_w - trace.p_pv_w).tolist()
     return SummaryMetrics(
-        max_charge_w=max(max(p, 0.0) for p in p_bat),
-        max_discharge_w=max(max(-p, 0.0) for p in p_bat),
-        soc_min_pct=min(soc),
-        soc_max_pct=max(soc),
-        omega_min_rad_s=min(omega),
-        omega_max_rad_s=max(omega),
-        curtailed_energy_wh=sum(r.p_pv_avail_w - r.p_pv_w for r in trace) * hours,
-        aux_energy_wh=sum(r.p_aux_w for r in trace) * hours,
-        charging_fraction=sum(1 for p in p_bat if p > 0.0) / len(trace),
-        violations_charge=_count_episodes(p > charge_band for p in p_bat),
-        violations_discharge=_count_episodes(-p > discharge_band for p in p_bat),
-        violations_soc_high=_count_episodes(
-            s > params.soc_max_pct + SOC_BAND_PCT for s in soc
-        ),
-        violations_soc_low=_count_episodes(
-            s < params.soc_min_pct - SOC_BAND_PCT for s in soc
-        ),
+        max_charge_w=max(float(p_bat.max()), 0.0),
+        max_discharge_w=max(float(-p_bat.min()), 0.0),
+        soc_min_pct=float(soc.min()),
+        soc_max_pct=float(soc.max()),
+        omega_min_rad_s=float(omega.min()),
+        omega_max_rad_s=float(omega.max()),
+        curtailed_energy_wh=sum(curtailed) * hours,
+        aux_energy_wh=sum(trace.p_aux_w.tolist()) * hours,
+        charging_fraction=np.count_nonzero(p_bat > 0.0) / len(trace),
+        violations_charge=_count_episodes(p_bat > charge_band),
+        violations_discharge=_count_episodes(-p_bat > discharge_band),
+        violations_soc_high=_count_episodes(soc > params.soc_max_pct + SOC_BAND_PCT),
+        violations_soc_low=_count_episodes(soc < params.soc_min_pct - SOC_BAND_PCT),
     )

@@ -297,7 +297,3 @@ class FuzzySystem:
             )
         return float(np.dot(self._xs, aggregate) / total)
 
-
-def infer(system: FuzzySystem, in1: float, in2: float) -> float:
-    """Functional alias for FuzzySystem.infer."""
-    return system.infer(in1, in2)

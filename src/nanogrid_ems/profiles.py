@@ -7,9 +7,8 @@ so that measured data can be substituted for the bundled curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, fields
 from importlib import resources
-from operator import add, attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -17,62 +16,16 @@ import numpy as np
 from .controller import NanogridParams
 from .engine import (
     SUMMARY_FIELDS,
+    TRACE_FIELDS,
+    Profile,
     Scenario,
     SummaryMetrics,
-    TimeStepRecord,
-    TRACE_FIELDS,
+    Trace,
 )
-from .errors import ParseError, ProfileOutOfRange, ValidationError
+from .errors import ParseError, ValidationError
 from .fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, Rule
 
 PROFILE_HEADER = "t_s,power_w"
-
-_SCENARIO_KEYS = (
-    "name",
-    "pv_profile",
-    "load_profile",
-    "load_multiplier",
-    "soc_init_pct",
-    "controller",
-    "dt_s",
-    "duration_s",
-)
-_PARAM_FIELDS = (
-    "p_pv_rating_w",
-    "p_aux_rating_w",
-    "c_bat_ah",
-    "v_bat_v",
-    "soc_max_pct",
-    "soc_min_plus10_pct",
-    "soc_min_pct",
-    "p_charge_max_w",
-    "p_discharge_max_w",
-    "omega_nom_rad_s",
-    "m_pv_rad_s_per_w",
-    "m_aux_rad_s_per_w",
-    "n_v_per_var",
-)
-
-
-@dataclass(eq=False)
-class Profile:
-    """Ordered (t, power) samples: finite, strictly increasing t, non-negative power."""
-
-    name: str
-    t_s: np.ndarray
-    power_w: np.ndarray
-
-    def __post_init__(self):
-        self.t_s = np.asarray(self.t_s, dtype=float)
-        self.power_w = np.asarray(self.power_w, dtype=float)
-        if self.t_s.size < 2:
-            raise ValidationError(f"profile {self.name!r} needs at least 2 samples")
-        if not (np.all(np.isfinite(self.t_s)) and np.all(np.isfinite(self.power_w))):
-            raise ValidationError(f"profile {self.name!r} has non-finite values")
-        if not np.all(np.diff(self.t_s) > 0):
-            raise ValidationError(f"profile {self.name!r} times must strictly increase")
-        if np.any(self.power_w < 0):
-            raise ValidationError(f"profile {self.name!r} has negative power values")
 
 
 def _read_text(source) -> tuple[str, str]:
@@ -106,16 +59,6 @@ def load_profile(source, name: str | None = None) -> Profile:
     return Profile(name, np.array(ts), np.array(values))
 
 
-def sample_profile(profile: Profile, t_s: float) -> float:
-    """Linear interpolation; exact at sample points."""
-    if t_s < profile.t_s[0] or t_s > profile.t_s[-1]:
-        raise ProfileOutOfRange(
-            f"t={t_s:g} s outside profile {profile.name!r} "
-            f"span [{profile.t_s[0]:g}, {profile.t_s[-1]:g}] s"
-        )
-    return float(np.interp(t_s, profile.t_s, profile.power_w))
-
-
 def _parse_kv(text: str, display: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -132,9 +75,7 @@ def _parse_kv(text: str, display: str) -> dict[str, str]:
     return pairs
 
 
-def _parse_float(pairs: dict[str, str], key: str, default: float) -> float:
-    if key not in pairs:
-        return default
+def _parse_float(pairs: dict[str, str], key: str) -> float:
     try:
         return float(pairs[key])
     except ValueError:
@@ -146,46 +87,36 @@ def parse_scenario(source) -> Scenario:
     text, display = _read_text(source)
     pairs = _parse_kv(text, display)
 
-    known = set(_SCENARIO_KEYS) | {f"params.{f}" for f in _PARAM_FIELDS}
-    unknown = set(pairs) - known
+    settings = {f.name: f for f in fields(Scenario) if f.name != "params"}
+    params = {f"params.{f.name}": f.name for f in fields(NanogridParams)}
+    unknown = set(pairs) - set(settings) - set(params)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for required in ("pv_profile", "load_profile", "soc_init_pct"):
-        if required not in pairs:
-            raise ValidationError(f"missing required key {required!r}")
+    for key, f in settings.items():
+        if f.default is MISSING and key not in pairs:
+            raise ValidationError(f"missing required key {key!r}")
 
-    defaults = NanogridParams()
     overrides = {
-        f: _parse_float(pairs, f"params.{f}", getattr(defaults, f))
-        for f in _PARAM_FIELDS
+        name: _parse_float(pairs, key) for key, name in params.items() if key in pairs
     }
-    return Scenario(
-        name=pairs.get("name", "scenario"),
-        params=NanogridParams(**overrides),
-        soc_init_pct=_parse_float(pairs, "soc_init_pct", 0.0),
-        pv_profile=pairs["pv_profile"],
-        load_profile=pairs["load_profile"],
-        load_multiplier=_parse_float(pairs, "load_multiplier", 1.0),
-        controller=pairs.get("controller", "flc"),
-        dt_s=_parse_float(pairs, "dt_s", 1.0),
-        duration_s=_parse_float(pairs, "duration_s", 43200.0),
-    )
+    values = {
+        key: pairs[key] if settings[key].type == "str" else _parse_float(pairs, key)
+        for key in settings
+        if key in pairs
+    }
+    return Scenario(params=NanogridParams(**overrides), **values)
 
 
 def render_scenario(scenario: Scenario) -> str:
     """Config text that parses back to an equal Scenario."""
-    lines = [
-        f"name = {scenario.name}",
-        f"pv_profile = {scenario.pv_profile}",
-        f"load_profile = {scenario.load_profile}",
-        f"load_multiplier = {scenario.load_multiplier!r}",
-        f"soc_init_pct = {scenario.soc_init_pct!r}",
-        f"controller = {scenario.controller}",
-        f"dt_s = {scenario.dt_s!r}",
-        f"duration_s = {scenario.duration_s!r}",
-    ]
+    lines = []
+    for f in fields(Scenario):
+        if f.name != "params":
+            value = getattr(scenario, f.name)
+            lines.append(f"{f.name} = {value if isinstance(value, str) else repr(value)}")
     lines += [
-        f"params.{f} = {getattr(scenario.params, f)!r}" for f in _PARAM_FIELDS
+        f"params.{f.name} = {getattr(scenario.params, f.name)!r}"
+        for f in fields(NanogridParams)
     ]
     return "\n".join(lines) + "\n"
 
@@ -232,14 +163,13 @@ def _format(value: float) -> str:
 
 
 _TRACE_ROW = ",".join(["%.6g"] * len(TRACE_FIELDS))
-_TRACE_ZEROS = (0.0,) * len(TRACE_FIELDS)
 
 
-def render_trace(trace: list[TimeStepRecord]) -> str:
-    # The text of _format on every value: adding the zeros is its + 0.0 fold.
-    values = attrgetter(*TRACE_FIELDS)
+def render_trace(trace: Trace) -> str:
+    # The text of _format on every value, with its + 0.0 fold done per column.
+    columns = [(getattr(trace, f) + 0.0).tolist() for f in TRACE_FIELDS]
     lines = [",".join(TRACE_FIELDS)]
-    lines.extend(_TRACE_ROW % tuple(map(add, values(r), _TRACE_ZEROS)) for r in trace)
+    lines.extend(_TRACE_ROW % row for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -252,7 +182,7 @@ def render_summary(metrics: SummaryMetrics) -> str:
 
 
 def write_outputs(
-    trace: list[TimeStepRecord],
+    trace: Trace,
     metrics: SummaryMetrics,
     out_dir,
     basename: str,

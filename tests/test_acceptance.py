@@ -26,6 +26,7 @@ from nanogrid_ems.model import aux_power, pv_power
 from nanogrid_ems.profiles import load_scenario
 
 from reference_fuzzy import infer_reference
+from trace_rows import rows
 
 
 @contextmanager
@@ -94,7 +95,7 @@ def test_a2_curtailment_only_above_nominal(scenario1_run, params):
     _, trace, metrics, _ = scenario1_run
     with criterion("A2", "PV energy is curtailed, and only at raised frequency"):
         assert metrics.curtailed_energy_wh > 0.0
-        for r in trace:
+        for r in rows(trace):
             if r.p_pv_avail_w - r.p_pv_w > 1e-9:
                 assert r.omega_rad_s > params.omega_nom_rad_s
 
@@ -112,7 +113,7 @@ def test_a4_low_soc_charging_trend(scenario2_run):
     scenario, trace, metrics = scenario2_run
     with criterion("A4", "low-SOC run charges most of the time and ends higher"):
         assert metrics.charging_fraction > 0.5
-        assert trace[-1].soc_pct > scenario.soc_init_pct
+        assert trace.soc_pct[-1] > scenario.soc_init_pct
 
 
 def test_a5_baseline_comparison(stress_compare):
@@ -219,14 +220,14 @@ def test_a9_conservation(scenario1_run, scenario2_run, stress_compare, params):
             (scenario1_run[0], scenario1_run[1]),
             (scenario2_run[0], scenario2_run[1]),
         ]:
-            for r in trace:
+            for r in rows(trace):
                 assert r.p_pv_w + r.p_aux_w - r.p_load_w - r.p_bat_w == 0.0
             stored = (
-                (trace[-1].soc_pct - scenario.soc_init_pct)
+                (trace.soc_pct[-1] - scenario.soc_init_pct)
                 / 100.0
                 * scenario.params.e_bat_wh
             )
-            integrated = math.fsum(r.p_bat_w for r in trace) * scenario.dt_s / 3600.0
+            integrated = math.fsum(trace.p_bat_w) * scenario.dt_s / 3600.0
             assert abs(stored - integrated) <= 1e-3
 
 

@@ -79,6 +79,30 @@ def test_nan_in_profile_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "params.c_bat_ah = inf",
+        "params.m_pv_rad_s_per_w = nan",
+        "params.p_aux_rating_w = inf",
+        "duration_s = inf",
+        "duration_s = nan",
+    ],
+)
+def test_non_finite_config_value_is_one_error_line(
+    tiny_scenario, tmp_path, line, capsys
+):
+    tiny_scenario.write_text(
+        tiny_scenario.read_text().replace("duration_s = 600\n", "") + line + "\n"
+    )
+    assert main(["run", str(tiny_scenario), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "must be finite" in lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_run_missing_scenario(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
     assert "nope.cfg" in capsys.readouterr().err

@@ -7,15 +7,11 @@ from nanogrid_ems.controller import (
     FuzzyEms,
     NanogridParams,
     ProportionalEms,
-    ems_step,
-    flc_shift_minus,
-    flc_shift_plus,
     make_controller,
     normalize_charge,
     normalize_discharge,
     normalize_soc_high,
     normalize_soc_low,
-    proportional_step,
 )
 from nanogrid_ems.errors import ValidationError
 
@@ -42,7 +38,6 @@ class TestParams:
         assert params.omega_nom_rad_s == 314.16
         assert params.m_pv_rad_s_per_w == 0.75e-4
         assert params.m_aux_rad_s_per_w == 0.75e-4
-        assert params.n_v_per_var == 0.75e-4
 
     def test_derived_bounds(self, params):
         assert params.d_omega_plus_max == pytest.approx(0.167250, abs=1e-12)
@@ -127,10 +122,6 @@ class TestFuzzyShifts:
             GOLDEN_SHIFT_MINUS_MID, abs=1e-4 * params.d_omega_minus_max
         )
 
-    def test_module_level_wrappers(self, params):
-        assert flc_shift_plus(1.0, 1.0, params) == 0.0
-        assert flc_shift_minus(0.0, 0.5, params) == -params.d_omega_minus_max
-
     def test_shift_ranges_on_grid(self, ems, params):
         grid = [i * 0.1 for i in range(11)]
         for x1 in grid:
@@ -184,27 +175,27 @@ class TestFuzzyShifts:
 
 
 class TestEmsStep:
-    def test_mid_soc_idle_battery_keeps_nominal_frequency(self, params):
-        cmd = ems_step(BatteryState(60.0, 0.0), params)
+    def test_mid_soc_idle_battery_keeps_nominal_frequency(self, ems):
+        cmd = ems.step(BatteryState(60.0, 0.0))
         assert cmd.omega_cmd == 314.16
         assert abs(cmd.d_omega_plus) < 1e-12
         assert abs(cmd.d_omega_minus) < 1e-12
 
-    def test_full_battery_commands_maximum_raise(self, params):
-        cmd = ems_step(BatteryState(95.0, 0.0), params)
+    def test_full_battery_commands_maximum_raise(self, ems, params):
+        cmd = ems.step(BatteryState(95.0, 0.0))
         assert cmd.d_omega_plus == params.d_omega_plus_max
         assert cmd.d_omega_minus == -0.0
         assert cmd.omega_cmd == params.omega_nom_rad_s + params.d_omega_plus_max
         assert cmd.omega_cmd == pytest.approx(314.32725, abs=1e-9)
 
-    def test_empty_battery_commands_maximum_drop(self, params):
-        cmd = ems_step(BatteryState(40.0, 0.0), params)
+    def test_empty_battery_commands_maximum_drop(self, ems, params):
+        cmd = ems.step(BatteryState(40.0, 0.0))
         assert cmd.d_omega_plus == 0.0
         assert cmd.d_omega_minus == -params.d_omega_minus_max
         assert cmd.omega_cmd == pytest.approx(314.085, abs=1e-9)
 
-    def test_command_composition(self, params):
-        cmd = ems_step(BatteryState(45.0, -300.0), params)
+    def test_command_composition(self, ems, params):
+        cmd = ems.step(BatteryState(45.0, -300.0))
         assert cmd.omega_cmd == params.omega_nom_rad_s + cmd.d_omega_plus + cmd.d_omega_minus
 
     @settings(max_examples=60, deadline=None)
@@ -214,19 +205,19 @@ class TestEmsStep:
     )
     def test_command_range(self, soc, p_bat):
         params = NanogridParams()
-        cmd = ems_step(BatteryState(soc, p_bat), params)
+        cmd = FuzzyEms(params).step(BatteryState(soc, p_bat))
         assert 0.0 <= cmd.d_omega_plus <= params.d_omega_plus_max
         assert -params.d_omega_minus_max <= cmd.d_omega_minus <= 0.0
         lo = params.omega_nom_rad_s - params.d_omega_minus_max
         hi = params.omega_nom_rad_s + params.d_omega_plus_max
         assert lo - 1e-12 <= cmd.omega_cmd <= hi + 1e-12
 
-    def test_no_soc_drives_both_guards_hard(self, params):
+    def test_no_soc_drives_both_guards_hard(self, ems, params):
         # The critical regions are disjoint: 95% SOC for the raise guard,
         # 40% for the drop guard, so both can never saturate together.
         for i in range(1001):
             soc = i * 0.1
-            cmd = ems_step(BatteryState(soc, 0.0), params)
+            cmd = ems.step(BatteryState(soc, 0.0))
             both_hot = (
                 cmd.d_omega_plus > 0.9 * params.d_omega_plus_max
                 and -cmd.d_omega_minus > 0.9 * params.d_omega_minus_max
@@ -236,23 +227,23 @@ class TestEmsStep:
 
 class TestProportional:
     def test_full_battery(self, params):
-        cmd = proportional_step(BatteryState(95.0, 0.0), params)
+        cmd = ProportionalEms(params).step(BatteryState(95.0, 0.0))
         assert cmd.d_omega_plus == pytest.approx(0.167250, abs=1e-12)
         assert cmd.d_omega_minus == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_battery(self, params):
-        cmd = proportional_step(BatteryState(40.0, 0.0), params)
+        cmd = ProportionalEms(params).step(BatteryState(40.0, 0.0))
         assert cmd.d_omega_plus == pytest.approx(0.0, abs=1e-15)
         assert cmd.d_omega_minus == pytest.approx(-0.075, abs=1e-12)
 
     def test_mid_soc(self, params):
-        cmd = proportional_step(BatteryState(67.5, 0.0), params)
+        cmd = ProportionalEms(params).step(BatteryState(67.5, 0.0))
         assert cmd.d_omega_plus == pytest.approx(0.0836250, abs=1e-12)
         assert cmd.d_omega_minus == pytest.approx(0.0, abs=1e-15)
 
     def test_ignores_battery_power(self, params):
-        idle = proportional_step(BatteryState(70.0, 0.0), params)
-        loaded = proportional_step(BatteryState(70.0, 999.0), params)
+        idle = ProportionalEms(params).step(BatteryState(70.0, 0.0))
+        loaded = ProportionalEms(params).step(BatteryState(70.0, 999.0))
         assert idle == loaded
 
 

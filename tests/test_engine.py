@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 
 from nanogrid_ems.controller import NanogridParams
 from nanogrid_ems.engine import (
+    MAX_STEPS,
+    Profile,
     Scenario,
     SummaryMetrics,
-    TimeStepRecord,
     run_scenario,
     summarize,
 )
 from nanogrid_ems.errors import EmptyTrace, ProfileOutOfRange, ValidationError
-from nanogrid_ems.profiles import Profile
+
+from trace_rows import Row, rows, summarize_rows_seed, trace_of
 
 
 def scenario(**overrides):
@@ -43,7 +45,7 @@ def record(**overrides):
         d_omega_minus=0.0,
     )
     base.update(overrides)
-    return TimeStepRecord(**base)
+    return Row(**base)
 
 
 class TestScenarioValidation:
@@ -67,23 +69,41 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             scenario(controller="pid")
 
+    @pytest.mark.parametrize(
+        "field", ["soc_init_pct", "load_multiplier", "dt_s", "duration_s"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            scenario(**{field: value})
+
+    def test_step_bound(self):
+        # Construction only: nothing is allocated for the rejected run.
+        assert scenario(duration_s=float(MAX_STEPS)).duration_s == MAX_STEPS
+        with pytest.raises(ValidationError, match="steps"):
+            scenario(duration_s=MAX_STEPS + 1.0)
+        with pytest.raises(ValidationError, match="steps"):
+            scenario(duration_s=1e13)
+        with pytest.raises(ValidationError, match="steps"):
+            scenario(duration_s=60.0, dt_s=5e-324)
+
 
 class TestRunScenario:
     def test_battery_alone_supplies_constant_load(self, flat_profile):
         sc = scenario(soc_init_pct=94.9, duration_s=300.0)
         trace = run_scenario(sc, flat_profile(0.0, "pv"), flat_profile(200.0, "load"))
         assert len(trace) == 300
-        for r in trace:
+        for r in rows(trace):
             assert r.p_aux_w == 0.0
             assert r.p_bat_w == -200.0
-        socs = [r.soc_pct for r in trace]
+        socs = [r.soc_pct for r in rows(trace)]
         assert all(b < a for a, b in zip(socs, socs[1:]))
 
     def test_dead_network(self, flat_profile):
         sc = scenario(soc_init_pct=50.0, duration_s=120.0)
         trace = run_scenario(sc, flat_profile(0.0, "pv"), flat_profile(0.0, "load"))
         p = sc.params
-        for r in trace:
+        for r in rows(trace):
             assert r.p_pv_w == r.p_aux_w == r.p_bat_w == 0.0
             assert r.soc_pct == 50.0
             lo = p.omega_nom_rad_s - p.d_omega_minus_max
@@ -98,22 +118,22 @@ class TestRunScenario:
     def test_partial_trailing_step_is_executed(self, flat_profile):
         sc = scenario(duration_s=2.5, dt_s=1.0)
         trace = run_scenario(sc, flat_profile(0.0, "pv"), flat_profile(0.0, "load"))
-        assert [r.t_s for r in trace] == [0.0, 1.0, 2.0]
+        assert [r.t_s for r in rows(trace)] == [0.0, 1.0, 2.0]
 
     def test_first_step_sees_idle_battery(self, flat_profile):
         # One-step measurement delay: the first command is computed with
         # p_bat = 0 even though the plant immediately loads the battery.
         sc = scenario(soc_init_pct=60.0, duration_s=10.0)
         trace = run_scenario(sc, flat_profile(2230.0, "pv"), flat_profile(100.0, "load"))
-        assert trace[0].d_omega_plus == 0.0
-        assert trace[0].p_bat_w == 2130.0
-        assert trace[1].d_omega_plus > 0.0
+        assert trace.d_omega_plus[0] == 0.0
+        assert trace.p_bat_w[0] == 2130.0
+        assert trace.d_omega_plus[1] > 0.0
 
     def test_deterministic(self, flat_profile):
         sc = scenario(soc_init_pct=94.9, duration_s=120.0)
         one = run_scenario(sc, flat_profile(800.0, "pv"), flat_profile(300.0, "load"))
         two = run_scenario(sc, flat_profile(800.0, "pv"), flat_profile(300.0, "load"))
-        assert one == two
+        assert rows(one) == rows(two)
 
     def test_profile_must_cover_duration(self):
         sc = scenario(duration_s=7200.0)
@@ -125,7 +145,7 @@ class TestRunScenario:
     def test_balance_holds_in_closed_loop(self, flat_profile):
         sc = scenario(soc_init_pct=45.0, duration_s=600.0)
         trace = run_scenario(sc, flat_profile(1200.0, "pv"), flat_profile(900.0, "load"))
-        for r in trace:
+        for r in rows(trace):
             assert r.p_pv_w + r.p_aux_w - r.p_load_w - r.p_bat_w == 0.0
 
     @settings(max_examples=25, deadline=None)
@@ -154,7 +174,7 @@ class TestRunScenario:
         assert len(trace) == 30
         lo = params.omega_nom_rad_s - params.d_omega_minus_max
         hi = params.omega_nom_rad_s + params.d_omega_plus_max
-        for r in trace:
+        for r in rows(trace):
             assert r.p_pv_w + r.p_aux_w - r.p_load_w - r.p_bat_w == 0.0
             assert lo - 1e-12 <= r.omega_rad_s <= hi + 1e-12
             assert 0.0 <= r.soc_pct <= 100.0
@@ -165,7 +185,7 @@ class TestRunScenario:
 class TestSummarize:
     def test_empty_trace_rejected(self, params):
         with pytest.raises(EmptyTrace):
-            summarize([], params, 1.0)
+            summarize(trace_of([]), params, 1.0)
 
     def test_dead_network_summary(self, params, flat_profile):
         sc = scenario(soc_init_pct=50.0, duration_s=60.0)
@@ -185,7 +205,7 @@ class TestSummarize:
         )
 
     def test_single_hour_record_aggregation(self, params):
-        trace = [record(p_bat_w=900.0, p_aux_w=150.0, soc_pct=55.0)]
+        trace = trace_of([record(p_bat_w=900.0, p_aux_w=150.0, soc_pct=55.0)])
         m = summarize(trace, params, 3600.0)
         assert m.max_charge_w == 900.0
         assert m.charging_fraction == 1.0
@@ -194,11 +214,11 @@ class TestSummarize:
     def test_brief_excursion_above_band_is_tolerated(self, params):
         # The one-step measurement delay makes short spikes unavoidable;
         # up to three consecutive steps above the 5% band are absorbed.
-        trace = [record(p_bat_w=1100.0)] * 3 + [record(p_bat_w=500.0)]
+        trace = trace_of([record(p_bat_w=1100.0)] * 3 + [record(p_bat_w=500.0)])
         assert summarize(trace, params, 1.0).violations_charge == 0
 
     def test_sustained_excursion_counts_once(self, params):
-        trace = (
+        trace = trace_of(
             [record(p_bat_w=500.0)]
             + [record(p_bat_w=1100.0)] * 6
             + [record(p_bat_w=500.0)]
@@ -206,24 +226,58 @@ class TestSummarize:
         assert summarize(trace, params, 1.0).violations_charge == 1
 
     def test_within_band_excursion_never_counts(self, params):
-        trace = [record(p_bat_w=1040.0)] * 50
+        trace = trace_of([record(p_bat_w=1040.0)] * 50)
         assert summarize(trace, params, 1.0).violations_charge == 0
 
     def test_separate_episodes_count_separately(self, params):
         burst = [record(p_bat_w=-1200.0)] * 4
         calm = [record(p_bat_w=0.0)] * 2
-        m = summarize(burst + calm + burst, params, 1.0)
+        m = summarize(trace_of(burst + calm + burst), params, 1.0)
         assert m.violations_discharge == 2
 
     def test_soc_band(self, params):
-        trace = [record(soc_pct=95.05)] * 10
+        trace = trace_of([record(soc_pct=95.05)] * 10)
         assert summarize(trace, params, 1.0).violations_soc_high == 0
-        trace = [record(soc_pct=95.2)] * 10
+        trace = trace_of([record(soc_pct=95.2)] * 10)
         assert summarize(trace, params, 1.0).violations_soc_high == 1
-        trace = [record(soc_pct=39.8)] * 10
+        trace = trace_of([record(soc_pct=39.8)] * 10)
         assert summarize(trace, params, 1.0).violations_soc_low == 1
 
     def test_idempotent(self, params):
-        trace = [record(p_bat_w=300.0), record(p_bat_w=-200.0, t_s=1.0)]
+        trace = trace_of([record(p_bat_w=300.0), record(p_bat_w=-200.0, t_s=1.0)])
         assert summarize(trace, params, 1.0) == summarize(trace, params, 1.0)
         assert isinstance(summarize(trace, params, 1.0), SummaryMetrics)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1300.0, max_value=1300.0),
+                st.floats(min_value=0.0, max_value=2230.0),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=0.0, max_value=1000.0),
+                st.floats(min_value=39.0, max_value=96.0),
+                st.floats(min_value=314.0, max_value=314.4),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from([0.1, 1.0, 3600.0]),
+    )
+    def test_matches_row_by_row_seed(self, params, steps, dt_s):
+        # Bit equality: each value the column reductions return, including
+        # the energy totals' order of addition, must be the seed's.
+        trace = [
+            record(
+                t_s=k * dt_s,
+                p_bat_w=p_bat,
+                p_pv_avail_w=avail,
+                p_pv_w=avail * share,
+                p_aux_w=aux,
+                soc_pct=soc,
+                omega_rad_s=omega,
+            )
+            for k, (p_bat, avail, share, aux, soc, omega) in enumerate(steps)
+        ]
+        expected = summarize_rows_seed(trace, params, dt_s)
+        assert summarize(trace_of(trace), params, dt_s) == expected

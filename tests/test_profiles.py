@@ -7,14 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nanogrid_ems.controller import FuzzyEms, NanogridParams
-from nanogrid_ems.engine import TRACE_FIELDS, Scenario, SummaryMetrics, TimeStepRecord
+from nanogrid_ems.engine import TRACE_FIELDS, Profile, Scenario, SummaryMetrics
 from nanogrid_ems.errors import (
     ParseError,
     ProfileOutOfRange,
     ValidationError,
 )
 from nanogrid_ems.profiles import (
-    Profile,
     load_profile,
     load_scenario,
     parse_fuzzy_systems,
@@ -22,13 +21,19 @@ from nanogrid_ems.profiles import (
     render_scenario,
     render_fuzzy_systems,
     render_trace,
-    sample_profile,
     write_outputs,
 )
+
+from trace_rows import Row, trace_of
 
 
 def profile_text(rows):
     return "t_s,power_w\n" + "\n".join(rows) + "\n"
+
+
+def sample_at(profile, t_s):
+    """The profile's value at one time, sampled as a run of duration ``t_s`` does."""
+    return float(profile.sample(np.array([t_s]), t_s)[0])
 
 
 class TestLoadProfile:
@@ -81,24 +86,26 @@ class TestSampleProfile:
         return Profile("ramp", np.array([0.0, 3600.0]), np.array([0.0, 500.0]))
 
     def test_midpoint_interpolation(self, ramp):
-        assert sample_profile(ramp, 1800.0) == 250.0
+        assert sample_at(ramp, 1800.0) == 250.0
 
     def test_exact_at_samples(self, ramp):
-        assert sample_profile(ramp, 0.0) == 0.0
-        assert sample_profile(ramp, 3600.0) == 500.0
+        assert sample_at(ramp, 0.0) == 0.0
+        assert sample_at(ramp, 3600.0) == 500.0
 
     def test_out_of_range(self, ramp):
         with pytest.raises(ProfileOutOfRange):
-            sample_profile(ramp, 4000.0)
+            sample_at(ramp, 4000.0)
+        # A run starts at t = 0, so a profile starting later cannot cover it.
+        late = Profile("late", np.array([1.0, 3600.0]), np.array([0.0, 500.0]))
         with pytest.raises(ProfileOutOfRange):
-            sample_profile(ramp, -1.0)
+            sample_at(late, 0.0)
 
     def test_piecewise_linear_between_samples(self):
         profile = Profile(
             "pw", np.array([0.0, 10.0, 30.0]), np.array([0.0, 100.0, 40.0])
         )
-        assert sample_profile(profile, 5.0) == 50.0
-        assert sample_profile(profile, 20.0) == 70.0
+        assert sample_at(profile, 5.0) == 50.0
+        assert sample_at(profile, 20.0) == 70.0
 
 
 class TestParseScenario:
@@ -175,7 +182,7 @@ class TestWriteOutputs:
     @staticmethod
     def _one_record_trace():
         return [
-            TimeStepRecord(
+            Row(
                 t_s=0.0,
                 p_pv_avail_w=0.0,
                 p_pv_w=0.0,
@@ -209,7 +216,7 @@ class TestWriteOutputs:
 
     def test_single_record_trace_file(self, tmp_path):
         trace_path, summary_path = write_outputs(
-            self._one_record_trace(), self._metrics(), tmp_path, "dead"
+            trace_of(self._one_record_trace()), self._metrics(), tmp_path, "dead"
         )
         lines = trace_path.read_text().splitlines()
         assert len(lines) == 2
@@ -220,15 +227,16 @@ class TestWriteOutputs:
         assert "aux_energy_wh = 0" in summary_path.read_text()
 
     def test_byte_determinism(self, tmp_path):
-        a = write_outputs(self._one_record_trace(), self._metrics(), tmp_path / "a", "x")
-        b = write_outputs(self._one_record_trace(), self._metrics(), tmp_path / "b", "x")
+        trace = trace_of(self._one_record_trace())
+        a = write_outputs(trace, self._metrics(), tmp_path / "a", "x")
+        b = write_outputs(trace, self._metrics(), tmp_path / "b", "x")
         assert a[0].read_bytes() == b[0].read_bytes()
         assert a[1].read_bytes() == b[1].read_bytes()
 
     def test_six_significant_digits(self):
         trace = self._one_record_trace()
         trace = [replace(trace[0], omega_rad_s=314.32725000000005, p_bat_w=1234.5678)]
-        text = render_trace(trace)
+        text = render_trace(trace_of(trace))
         assert "314.327" in text
         assert "1234.57" in text
 
@@ -236,14 +244,14 @@ class TestWriteOutputs:
     def test_rows_match_per_value_format(self, values):
         # One template per row gives the text of formatting each value alone,
         # negative zero folded to 0.
-        record = TimeStepRecord(*values)
-        row = render_trace([record]).splitlines()[1]
+        record = Row(*values)
+        row = render_trace(trace_of([record])).splitlines()[1]
         assert row == ",".join(f"{v + 0.0:.6g}" for v in values)
 
     def test_negative_zero_folds(self):
         (record,) = self._one_record_trace()
         record = replace(record, d_omega_minus=-0.0, p_bat_w=-0.0)
-        row = render_trace([record]).splitlines()[1].split(",")
+        row = render_trace(trace_of([record])).splitlines()[1].split(",")
         assert row[TRACE_FIELDS.index("d_omega_minus")] == "0"
         assert row[TRACE_FIELDS.index("p_bat_w")] == "0"
 

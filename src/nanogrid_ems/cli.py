@@ -36,26 +36,29 @@ _COMPARE_COLUMNS = (
 )
 
 
-def _run_one(name_or_path, controller_override, out_dir):
-    scenario, pv, load = load_scenario(name_or_path)
+def _run_one(loaded, controller_override, out_dir):
+    """Run one loaded ``(scenario, pv, load)``, write its files, return its metrics."""
+    scenario, pv, load = loaded
     if controller_override is not None:
         scenario = replace(scenario, controller=controller_override)
     trace = run_scenario(scenario, pv, load)
     metrics = summarize(trace, scenario.params, scenario.dt_s)
     write_outputs(trace, metrics, out_dir, f"{scenario.name}_{scenario.controller}")
-    return scenario, metrics
+    return metrics
 
 
 def cmd_run(args) -> int:
-    scenario, metrics = _run_one(args.scenario, args.controller, args.out)
+    metrics = _run_one(load_scenario(args.scenario), args.controller, args.out)
     sys.stdout.write(render_summary(metrics))
     return 0
 
 
 def cmd_compare(args) -> int:
+    # Both controllers run on the same parsed profiles.
+    loaded = load_scenario(args.scenario)
     rows = []
     for kind in CONTROLLER_KINDS:
-        scenario, metrics = _run_one(args.scenario, kind, args.out)
+        metrics = _run_one(loaded, kind, args.out)
         rows.append(
             (
                 kind,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .fuzzy import FuzzySystem, LinguisticVariable, Rule, triangular
@@ -102,8 +103,7 @@ class BatteryState:
         return max(-self.p_bat_w, 0.0)
 
 
-@dataclass(frozen=True)
-class FrequencyCommand:
+class FrequencyCommand(NamedTuple):
     d_omega_plus: float
     d_omega_minus: float
     omega_cmd: float
@@ -179,6 +179,12 @@ def build_guard_system(name: str, span: float, resolution: int = 1001) -> FuzzyS
     return FuzzySystem(name, (soc_margin, power_margin), output, rules, resolution)
 
 
+def _calibration(system: FuzzySystem, bound: float) -> tuple[float, float, float]:
+    """(zero centroid, large - zero centroid span, shift bound) of one guard."""
+    c0 = system.term_centroid("zero")
+    return c0, system.term_centroid("large") - c0, bound
+
+
 class FuzzyEms:
     """Fuzzy supervisory controller; stateless given (BatteryState, params).
 
@@ -196,41 +202,20 @@ class FuzzyEms:
         self.depletion_guard = build_guard_system(
             "depletion_guard", params.d_omega_minus_max
         )
-        self._plus_cal = (
-            self.overcharge_guard.term_centroid("zero"),
-            self.overcharge_guard.term_centroid("large"),
-        )
-        self._minus_cal = (
-            self.depletion_guard.term_centroid("zero"),
-            self.depletion_guard.term_centroid("large"),
-        )
-
-    @staticmethod
-    def _calibrated(system, cal, bound, x1, x2):
-        c0, c1 = cal
-        raw = system.infer(x1, x2)
-        return bound * _clamp01((raw - c0) / (c1 - c0))
+        self._plus_cal = _calibration(self.overcharge_guard, params.d_omega_plus_max)
+        self._minus_cal = _calibration(self.depletion_guard, params.d_omega_minus_max)
 
     def shift_plus(self, d_soc_high: float, d_charge: float) -> float:
         """Upward shift in [0, d_omega_plus_max] driving PV curtailment."""
-        return self._calibrated(
-            self.overcharge_guard,
-            self._plus_cal,
-            self.params.d_omega_plus_max,
-            d_soc_high,
-            d_charge,
-        )
+        c0, span, bound = self._plus_cal
+        raw = self.overcharge_guard.infer(d_soc_high, d_charge)
+        return bound * _clamp01((raw - c0) / span)
 
     def shift_minus(self, d_soc_low: float, d_discharge: float) -> float:
         """Downward shift in [-d_omega_minus_max, 0] driving auxiliary dispatch."""
-        magnitude = self._calibrated(
-            self.depletion_guard,
-            self._minus_cal,
-            self.params.d_omega_minus_max,
-            d_soc_low,
-            d_discharge,
-        )
-        return -magnitude
+        c0, span, bound = self._minus_cal
+        raw = self.depletion_guard.infer(d_soc_low, d_discharge)
+        return -(bound * _clamp01((raw - c0) / span))
 
     def step(self, state: BatteryState) -> FrequencyCommand:
         p = self.params
@@ -253,11 +238,14 @@ class ProportionalEms:
 
     def __init__(self, params: NanogridParams):
         self.params = params
+        self._plus_max = params.d_omega_plus_max
+        # Negation is exact, so negating once equals negating every step.
+        self._minus_max = -params.d_omega_minus_max
 
     def step(self, state: BatteryState) -> FrequencyCommand:
         p = self.params
-        plus = p.d_omega_plus_max * (1.0 - normalize_soc_high(state.soc_pct, p))
-        minus = -p.d_omega_minus_max * (1.0 - normalize_soc_low(state.soc_pct, p))
+        plus = self._plus_max * (1.0 - normalize_soc_high(state.soc_pct, p))
+        minus = self._minus_max * (1.0 - normalize_soc_low(state.soc_pct, p))
         return FrequencyCommand(plus, minus, p.omega_nom_rad_s + plus + minus)
 
 

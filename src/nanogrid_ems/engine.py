@@ -149,20 +149,21 @@ def _step_count(duration_s: float, dt_s: float) -> int:
 
 def run_scenario(scenario: Scenario, pv: Profile, load: Profile) -> Trace:
     """Run the closed loop; identical inputs give a bit-identical trace."""
-    params = scenario.params
+    params, dt_s = scenario.params, scenario.dt_s
     controller = make_controller(scenario.controller, params)
-    n = _step_count(scenario.duration_s, scenario.dt_s)
-    ts = np.arange(n, dtype=float) * scenario.dt_s
+    n = _step_count(scenario.duration_s, dt_s)
+    ts = np.arange(n, dtype=float) * dt_s
     pv_avail = pv.sample(ts, scenario.duration_s)
     load_w = load.sample(ts, scenario.duration_s) * scenario.load_multiplier
 
     p_pv, p_aux, p_bat, soc_pct, omega, d_plus, d_minus = np.empty((7, n))
     soc = scenario.soc_init_pct
     prev_p_bat = 0.0
-    for k in range(n):
+    inputs = zip(pv_avail.tolist(), load_w.tolist())
+    for k, (p_avail_k, p_load_k) in enumerate(inputs):
         cmd = controller.step(BatteryState(soc, prev_p_bat))
-        bus = grid_step(cmd.omega_cmd, float(pv_avail[k]), float(load_w[k]), params)
-        soc = battery_soc_update(BatteryState(soc, bus.p_bat_w), scenario.dt_s, params)
+        bus = grid_step(cmd.omega_cmd, p_avail_k, p_load_k, params)
+        soc = battery_soc_update(BatteryState(soc, bus.p_bat_w), dt_s, params)
         p_pv[k] = bus.p_pv_w
         p_aux[k] = bus.p_aux_w
         p_bat[k] = bus.p_bat_w

@@ -10,7 +10,7 @@ slack unit (positive battery power = charging).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .controller import BatteryState, NanogridParams
 from .errors import SlackOverload
@@ -22,8 +22,7 @@ log = logging.getLogger(__name__)
 _SLACK_LIMIT_FACTOR = 4.0
 
 
-@dataclass(frozen=True)
-class BusState:
+class BusState(NamedTuple):
     """All bus quantities for one step; p_bat = p_pv + p_aux - p_load exactly."""
 
     omega_rad_s: float
@@ -56,12 +55,10 @@ def grid_step(
     p_pv = pv_power(omega_cmd_rad_s, p_avail_w, params)
     p_aux = aux_power(omega_cmd_rad_s, params)
     p_bat = p_pv + p_aux - p_load_w
+    limit = _SLACK_LIMIT_FACTOR * params.p_charge_max_w
     # Negated so that a NaN power fails the check too.
-    if not abs(p_bat) <= _SLACK_LIMIT_FACTOR * params.p_charge_max_w:
-        raise SlackOverload(
-            f"battery asked for {p_bat:.0f} W "
-            f"(limit {_SLACK_LIMIT_FACTOR * params.p_charge_max_w:.0f} W)"
-        )
+    if not abs(p_bat) <= limit:
+        raise SlackOverload(f"battery asked for {p_bat:.0f} W (limit {limit:.0f} W)")
     return BusState(omega_cmd_rad_s, p_avail_w, p_pv, p_aux, p_load_w, p_bat)
 
 

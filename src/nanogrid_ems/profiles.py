@@ -7,6 +7,7 @@ so that measured data can be substituted for the bundled curves.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
@@ -28,32 +29,62 @@ from .fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, Rule
 PROFILE_HEADER = "t_s,power_w"
 
 
+@contextmanager
+def _open_text(source):
+    """Yield (text stream, display name) for a path or file-like source.
+
+    Text that is not valid UTF-8 ends in a ParseError naming the source.
+    """
+    if hasattr(source, "read"):
+        stream, display = nullcontext(source), getattr(source, "name", "<stream>")
+    else:
+        stream, display = open(source, encoding="utf-8"), str(Path(source))
+    with stream as fh:
+        try:
+            yield fh, display
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{display}: not valid UTF-8 ({exc.reason})") from None
+
+
 def _read_text(source) -> tuple[str, str]:
     """Return (text, display name) for a path or file-like source."""
-    if hasattr(source, "read"):
-        return source.read(), getattr(source, "name", "<stream>")
-    path = Path(source)
-    return path.read_text(encoding="utf-8"), str(path)
+    with _open_text(source) as (fh, display):
+        return fh.read(), display
+
+
+def _row_error(display: str, row: str, lineno: int) -> ParseError:
+    """The error for a profile row that failed to parse as two floats."""
+    parts = row.split(",")
+    if len(parts) != 2:
+        return ParseError(f"{display}: expected 2 fields, got {len(parts)}", lineno)
+    try:
+        float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        return ParseError(f"{display}: {exc}", lineno)
+    raise AssertionError(f"row {row!r} parsed after failing")
 
 
 def load_profile(source, name: str | None = None) -> Profile:
-    """Parse and validate a profile file (header ``t_s,power_w``)."""
-    text, display = _read_text(source)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != PROFILE_HEADER:
-        raise ParseError(f"{display}: expected header {PROFILE_HEADER!r}", line=1)
+    """Parse and validate a profile file (header ``t_s,power_w``).
+
+    The file is read in chunks of lines rather than whole; a line ends at
+    ``\\n``, ``\\r\\n`` or ``\\r``.
+    """
     ts, values = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{display}: expected 2 fields, got {len(parts)}", lineno)
-        try:
-            ts.append(float(parts[0]))
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise ParseError(f"{display}: {exc}", lineno) from None
+    with _open_text(source) as (fh, display):
+        if fh.readline().strip() != PROFILE_HEADER:
+            raise ParseError(f"{display}: expected header {PROFILE_HEADER!r}", line=1)
+        lineno = 1
+        while chunk := fh.readlines(1 << 16):
+            for lineno, line in enumerate(chunk, start=lineno + 1):
+                try:
+                    t, power = line.split(",")
+                    ts.append(float(t))
+                    values.append(float(power))
+                except ValueError:
+                    # Blank rows are skipped; float() ignores the newline.
+                    if not line.isspace():
+                        raise _row_error(display, line.rstrip("\n"), lineno) from None
     if name is None:
         name = Path(display).stem
     return Profile(name, np.array(ts), np.array(values))

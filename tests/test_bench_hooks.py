@@ -9,6 +9,8 @@ custom scenario through that tracer and checks the counts.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -19,8 +21,9 @@ def load_tracing():
     return module
 
 
-def test_traced_run_counts_every_step(tmp_path):
-    tracing = load_tracing()
+@pytest.fixture
+def hooks_scenario(tmp_path):
+    """A 60-step scenario with its two profiles."""
     (tmp_path / "pv.csv").write_text("t_s,power_w\n0,2230\n60,2230\n")
     (tmp_path / "load.csv").write_text("t_s,power_w\n0,100\n60,100\n")
     cfg = tmp_path / "hooks.cfg"
@@ -28,9 +31,29 @@ def test_traced_run_counts_every_step(tmp_path):
         "name = hooks\npv_profile = pv.csv\nload_profile = load.csv\n"
         "soc_init_pct = 60\nduration_s = 60\n"
     )
+    return cfg
+
+
+def test_traced_run_counts_every_step(hooks_scenario, tmp_path):
+    tracing = load_tracing()
     with tracing.TracedRun() as run:
-        assert tracing.cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        argv = ["run", str(hooks_scenario), "--out", str(tmp_path / "out")]
+        assert tracing.cli.main(argv) == 0
     metrics = run.metrics()
     assert run.count_problems(metrics) == []
     assert metrics["engine.steps"] == 60
+    assert metrics["fuzzy.infer_calls"] == 120
+
+
+def test_traced_compare_parses_each_profile_once(hooks_scenario, tmp_path):
+    tracing = load_tracing()
+    with tracing.TracedRun() as run:
+        argv = ["compare", str(hooks_scenario), "--out", str(tmp_path / "out")]
+        assert tracing.cli.main(argv) == 0
+    metrics = run.metrics()
+    assert run.count_problems(metrics) == []
+    assert metrics["profiles.load_profile_calls"] == 2
+    assert metrics["profiles.rows_parsed_per_distinct_row"] == 1.0
+    assert metrics["engine.steps"] == 120
+    # Only the fuzzy run of the two calls infer, twice a step.
     assert metrics["fuzzy.infer_calls"] == 120

@@ -103,6 +103,21 @@ def test_non_finite_config_value_is_one_error_line(
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("bad_file", ["tiny.cfg", "pv.csv"])
+def test_invalid_utf8_is_one_error_line(tiny_scenario, tmp_path, bad_file, capsys):
+    path = tmp_path / bad_file
+    rows = path.read_bytes().split(b"\n")
+    # The config's name line, or the profile's second row.
+    rows[0 if bad_file == "tiny.cfg" else 2] += b"\xff"
+    path.write_bytes(b"\n".join(rows))
+    assert main(["run", str(tiny_scenario), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and f"{bad_file}: not valid UTF-8" in lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_run_missing_scenario(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
     assert "nope.cfg" in capsys.readouterr().err

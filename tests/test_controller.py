@@ -1,3 +1,6 @@
+import math
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from nanogrid_ems.controller import (
 )
 from nanogrid_ems.errors import ValidationError
 
+import reference_seed
 from reference_fuzzy import calibrated_shift_reference
 
 # Reference values for the mid-grid operating point, computed with the
@@ -252,3 +256,61 @@ def test_make_controller_kinds(params):
     assert isinstance(make_controller("proportional", params), ProportionalEms)
     with pytest.raises(ValidationError):
         make_controller("pid", params)
+
+
+# Non-default limits move every normalisation span and calibration constant.
+PARAM_SETS = (
+    NanogridParams(),
+    NanogridParams(
+        p_pv_rating_w=3000.0,
+        p_aux_rating_w=1500.0,
+        soc_max_pct=90.0,
+        soc_min_plus10_pct=35.0,
+        soc_min_pct=20.0,
+        p_charge_max_w=800.0,
+        p_discharge_max_w=1200.0,
+        m_pv_rad_s_per_w=1e-4,
+    ),
+)
+# SOC and battery power at the breakpoints of both parameter sets, where the
+# calibration corners pin the shifts to exactly 0 or exactly the bound.
+SOC = st.one_of(
+    st.floats(0.0, 100.0),
+    st.sampled_from([0.0, 20.0, 35.0, 40.0, 50.0, 90.0, 95.0, 100.0]),
+)
+P_BAT = st.one_of(
+    st.floats(-4000.0, 4000.0),
+    st.sampled_from([-4000.0, -1200.0, -1000.0, -800.0, -0.0, 0.0, 800.0, 1000.0]),
+)
+MARGIN = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
+
+
+@cache
+def controller_pair(kind, params):
+    """The package's controller and its verbatim seed copy, built once."""
+    seed_class = {
+        "flc": reference_seed.FuzzyEms,
+        "proportional": reference_seed.ProportionalEms,
+    }[kind]
+    return make_controller(kind, params), seed_class(params)
+
+
+class TestMatchesSeed:
+    """Constants built at construction give the seed's floats, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(("flc", "proportional")), st.sampled_from(PARAM_SETS), SOC, P_BAT
+    )
+    def test_step_bit_identical(self, kind, params, soc, p_bat):
+        new, seed = controller_pair(kind, params)
+        state = BatteryState(soc, p_bat)
+        reference_seed.assert_same_fields(new.step(state), seed.step(state))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PARAM_SETS), MARGIN, MARGIN)
+    def test_shifts_bit_identical(self, params, x1, x2):
+        new, seed = controller_pair("flc", params)
+        for shift in ("shift_plus", "shift_minus"):
+            a, b = getattr(new, shift)(x1, x2), getattr(seed, shift)(x1, x2)
+            assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)

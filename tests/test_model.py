@@ -6,6 +6,8 @@ from nanogrid_ems.controller import BatteryState, NanogridParams
 from nanogrid_ems.errors import SlackOverload
 from nanogrid_ems.model import aux_power, battery_soc_update, grid_step, pv_power
 
+import reference_seed
+
 
 class TestPvPower:
     def test_no_curtailment_at_nominal(self, params):
@@ -106,6 +108,27 @@ class TestGridStep:
         assert bus.p_pv_w + bus.p_aux_w - bus.p_load_w - bus.p_bat_w == 0.0
         assert bus.p_pv_w >= 0.0
         assert bus.p_aux_w >= 0.0
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.floats(min_value=314.0, max_value=314.4),
+            st.sampled_from([314.085, 314.16, 314.32725]),
+        ),
+        st.one_of(st.floats(0.0, 2230.0), st.sampled_from([0.0, 2230.0])),
+        st.one_of(st.floats(0.0, 6000.0), st.sampled_from([0.0, 2230.0])),
+    )
+    def test_matches_seed_bit_for_bit(self, omega, avail, load):
+        """Same floats and signs of zero, or the same overload message."""
+        params = NanogridParams()
+        try:
+            seed = reference_seed.grid_step(omega, avail, load, params)
+        except SlackOverload as exc:
+            with pytest.raises(SlackOverload) as raised:
+                grid_step(omega, avail, load, params)
+            assert str(raised.value) == str(exc)
+        else:
+            reference_seed.assert_same_fields(grid_step(omega, avail, load, params), seed)
 
 
 class TestSocUpdate:

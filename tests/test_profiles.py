@@ -1,9 +1,11 @@
 import io
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanogrid_ems.controller import FuzzyEms, NanogridParams
@@ -24,6 +26,7 @@ from nanogrid_ems.profiles import (
     write_outputs,
 )
 
+import reference_seed
 from trace_rows import Row, trace_of
 
 
@@ -78,6 +81,91 @@ class TestLoadProfile:
     def test_non_finite_values_rejected(self, rows):
         with pytest.raises(ValidationError, match="non-finite"):
             load_profile(io.StringIO(profile_text(rows)))
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_only_cr_and_lf_end_a_line(self, tmp_path, separator):
+        path = tmp_path / "p.csv"
+        path.write_text(f"t_s,power_w\n0,1{separator}60,2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: .*expected 2 fields, got 3"):
+            load_profile(path)
+
+
+# Spellings of a row's time that float() accepts.
+SPELLINGS = ("{}", " {} ", "\t{}", "+{}", "{}.0", "{}e0", "{}_0e-1", "0{}")
+BAD_TOKENS = ("", " ", "abc", "1..2", "0x10", "1,5", "\u0661x", "--1", "1e")
+BLANK_ROWS = ("", " ", "\t", "  \t ")
+WRONG_FIELDS = ("1", "1,2,3", ",", "1,2,", ",,")
+
+
+@st.composite
+def profile_texts(draw):
+    """Profile text with mixed line ends, blank rows, spellings and bad rows."""
+    header = draw(
+        st.sampled_from(["t_s,power_w"] * 4 + [" t_s,power_w\t", "t_s;power_w", ""])
+    )
+    kinds = ["row"] * 20 + ["blank"] * 4 + ["bad", "fields"]
+    rows, t = [], 0
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "row":
+            t += draw(st.sampled_from([1] * 9 + [0]))  # a repeated time is invalid
+            power = draw(
+                st.one_of(
+                    st.floats(0.0, 5000.0).map(repr),
+                    st.floats(0.0, 5000.0).map(lambda v: f"{v:.3f}"),
+                    st.sampled_from(["-1", "nan", "1e3", ".5", "5.", "1_0", "\u0661"]),
+                )
+            )
+            rows.append(draw(st.sampled_from(SPELLINGS)).format(t) + "," + power)
+        elif kind == "blank":
+            rows.append(draw(st.sampled_from(BLANK_ROWS)))
+        elif kind == "bad":
+            bad = draw(st.sampled_from(BAD_TOKENS))
+            rows.append(draw(st.sampled_from([f"{t},{bad}", f"{bad},1"])))
+        else:
+            rows.append(draw(st.sampled_from(WRONG_FIELDS)))
+    ends = draw(
+        st.lists(
+            st.sampled_from(["\n", "\r\n", "\r"]),
+            min_size=len(rows) + 1,
+            max_size=len(rows) + 1,
+        )
+    )
+    text = "".join(line + end for line, end in zip([header, *rows], ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+def parse_outcome(parse, path):
+    """(name, times, powers) of a parsed profile, or (error type, message)."""
+    try:
+        profile = parse(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return profile.name, profile.t_s.tolist(), profile.power_w.tolist()
+
+
+class TestInvalidUtf8:
+    # The second case puts the bad byte a few chunks into a long profile.
+    @pytest.mark.parametrize("rows", [1, 20_000])
+    @pytest.mark.parametrize("reader", [load_profile, parse_scenario, parse_fuzzy_systems])
+    def test_parse_error_names_the_file(self, tmp_path, reader, rows):
+        path = tmp_path / "latin1.txt"
+        text = profile_text([f"{i},1" for i in range(rows)])
+        path.write_bytes(text.encode() + b"60,\xff\n")
+        with pytest.raises(ParseError, match="latin1.txt: not valid UTF-8"):
+            reader(path)
+
+
+class TestStreamedParseMatchesSeed:
+    """The chunked parser gives the whole-text parser's arrays or its error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile_texts())
+    def test_same_arrays_or_same_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "generated.csv"
+            path.write_bytes(text.encode("utf-8"))
+            expected = parse_outcome(reference_seed.load_profile, path)
+            assert parse_outcome(load_profile, path) == expected
 
 
 class TestSampleProfile:

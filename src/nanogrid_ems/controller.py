@@ -52,8 +52,11 @@ class NanogridParams:
 
     def __post_init__(self):
         require_finite(self)
-        if not self.soc_min_pct < self.soc_min_plus10_pct < self.soc_max_pct:
-            raise ValidationError("SOC thresholds must be ordered min < min+10 < max")
+        soc = (self.soc_min_pct, self.soc_min_plus10_pct, self.soc_max_pct)
+        if not 0.0 <= soc[0] < soc[1] < soc[2] <= 100.0:
+            raise ValidationError(
+                "SOC thresholds must be ordered 0 <= min < min+10 < max <= 100"
+            )
         positive = (
             self.p_pv_rating_w,
             self.p_aux_rating_w,
@@ -67,6 +70,14 @@ class NanogridParams:
         )
         if any(v <= 0 for v in positive):
             raise ValidationError("ratings, limits and droop slopes must be positive")
+        # Products of positive finite values can still underflow to 0 or
+        # overflow to inf.
+        for name in ("d_omega_plus_max", "d_omega_minus_max"):
+            bound = getattr(self, name)
+            if not 0.0 < bound < self.omega_nom_rad_s:
+                raise ValidationError(f"{name} = {bound!r} outside (0, omega_nom_rad_s)")
+        if not 0.0 < self.e_bat_wh < math.inf:
+            raise ValidationError(f"e_bat_wh = {self.e_bat_wh!r} must be finite and > 0")
 
     @property
     def d_omega_plus_max(self) -> float:
@@ -155,7 +166,7 @@ _RULE_TABLE = {
 }
 
 
-def build_guard_system(name: str, span: float, resolution: int = 1001) -> FuzzySystem:
+def build_guard_system(name: str, span: float) -> FuzzySystem:
     """One guard subsystem mapping two normalized margins to a shift magnitude."""
     soc_margin = LinguisticVariable("soc_margin", 0.0, 1.0, _INPUT_TERMS)
     power_margin = LinguisticVariable("power_margin", 0.0, 1.0, _INPUT_TERMS)
@@ -176,7 +187,7 @@ def build_guard_system(name: str, span: float, resolution: int = 1001) -> FuzzyS
         )
         for (soc_term, power_term), out_term in _RULE_TABLE.items()
     )
-    return FuzzySystem(name, (soc_margin, power_margin), output, rules, resolution)
+    return FuzzySystem(name, (soc_margin, power_margin), output, rules)
 
 
 def _calibration(system: FuzzySystem, bound: float) -> tuple[float, float, float]:

@@ -21,7 +21,7 @@ from .controller import (
     require_finite,
 )
 from .errors import EmptyTrace, ProfileOutOfRange, ValidationError
-from .model import battery_soc_update, grid_step
+from .model import SLACK_LIMIT_FACTOR, battery_soc_update, grid_step
 
 # Limit excursions are tolerated up to 5% of the limit for at most this many
 # consecutive steps, absorbing the one-step measurement delay; anything
@@ -84,6 +84,9 @@ class Scenario:
 
     def __post_init__(self):
         require_finite(self)
+        # The name is the stem of the output files inside the output directory.
+        if "/" in self.name or "\0" in self.name:
+            raise ValidationError(f"name {self.name!r} must not hold '/' or NUL")
         if not self.dt_s > 0:
             raise ValidationError("dt must be positive")
         if self.duration_s < self.dt_s:
@@ -91,6 +94,16 @@ class Scenario:
         # Compared before _step_count rounds it up, as the quotient may be inf.
         if self.duration_s / self.dt_s - 1e-9 > MAX_STEPS:
             raise ValidationError(f"duration / dt exceeds {MAX_STEPS} steps")
+        # One step at the slack limit may not cross the band between soc_min
+        # and soc_min+10, which the depletion guard needs to see.
+        p = self.params
+        limit = SLACK_LIMIT_FACTOR * p.p_charge_max_w
+        swing = 100.0 * limit * (self.dt_s / 3600.0) / p.e_bat_wh
+        if not swing <= p.soc_min_plus10_pct - p.soc_min_pct:
+            raise ValidationError(
+                f"dt_s = {self.dt_s!r} lets one step at the slack limit move the SOC"
+                f" by {swing:.6g}%, more than soc_min_plus10_pct - soc_min_pct"
+            )
         if not self.load_multiplier > 0:
             raise ValidationError("load multiplier must be positive")
         if not 0.0 <= self.soc_init_pct <= 100.0:
@@ -163,7 +176,7 @@ def run_scenario(scenario: Scenario, pv: Profile, load: Profile) -> Trace:
     for k, (p_avail_k, p_load_k) in enumerate(inputs):
         cmd = controller.step(BatteryState(soc, prev_p_bat))
         bus = grid_step(cmd.omega_cmd, p_avail_k, p_load_k, params)
-        soc = battery_soc_update(BatteryState(soc, bus.p_bat_w), dt_s, params)
+        soc = battery_soc_update(soc, bus.p_bat_w, dt_s, params)
         p_pv[k] = bus.p_pv_w
         p_aux[k] = bus.p_aux_w
         p_bat[k] = bus.p_bat_w
@@ -205,7 +218,7 @@ def summarize(trace: Trace, params: NanogridParams, dt_s: float) -> SummaryMetri
     # Python's sum keeps the original order of addition for the energy totals;
     # numpy's pairwise sum can differ in the last bit.
     curtailed = (trace.p_pv_avail_w - trace.p_pv_w).tolist()
-    return SummaryMetrics(
+    metrics = SummaryMetrics(
         max_charge_w=max(float(p_bat.max()), 0.0),
         max_discharge_w=max(float(-p_bat.min()), 0.0),
         soc_min_pct=float(soc.min()),
@@ -220,3 +233,6 @@ def summarize(trace: Trace, params: NanogridParams, dt_s: float) -> SummaryMetri
         violations_soc_high=_count_episodes(soc > params.soc_max_pct + SOC_BAND_PCT),
         violations_soc_low=_count_episodes(soc < params.soc_min_pct - SOC_BAND_PCT),
     )
+    # Energy totals over ratings near the float range can overflow.
+    require_finite(metrics)
+    return metrics

@@ -43,10 +43,12 @@ class MembershipFunction:
     """Triangle (3 breakpoints) or trapezoid (4 breakpoints).
 
     Coincident breakpoints express shoulders: ``tri(a, a, c)`` is a left
-    shoulder, ``tri(a, c, c)`` a right shoulder.
+    shoulder, ``tri(a, c, c)`` a right shoulder.  ``corners`` is
+    ``(left, top_lo, top_hi, right)``; a triangle's top is one point.
     """
 
     points: tuple[float, ...]
+    corners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) not in (3, 4):
@@ -55,6 +57,9 @@ class MembershipFunction:
             raise ValueError("breakpoints must be finite")
         if any(b < a for a, b in zip(self.points, self.points[1:])):
             raise ValueError("breakpoints must be non-decreasing")
+        pts = self.points
+        corners = (pts[0], pts[1], pts[1], pts[2]) if len(pts) == 3 else pts
+        object.__setattr__(self, "corners", corners)
 
     @property
     def kind(self) -> str:
@@ -71,12 +76,7 @@ def trapezoidal(a: float, b: float, c: float, d: float) -> MembershipFunction:
 
 def mf_eval(mf: MembershipFunction, x: float) -> float:
     """Degree of membership of ``x``, exact at breakpoints, 0 outside support."""
-    pts = mf.points
-    if len(pts) == 3:
-        left, top_lo, right = pts
-        top_hi = top_lo
-    else:
-        left, top_lo, top_hi, right = pts
+    left, top_lo, top_hi, right = mf.corners
     if x < left or x > right:
         return 0.0
     if top_lo <= x <= top_hi:
@@ -142,12 +142,6 @@ class Rule:
             raise ValueError("rules take one or two antecedent clauses")
 
 
-def _corners(mf: MembershipFunction) -> tuple[float, float, float, float]:
-    """(left, top_lo, top_hi, right) as read by ``mf_eval``."""
-    pts = mf.points
-    return (pts[0], pts[1], pts[1], pts[2]) if len(pts) == 3 else pts
-
-
 @dataclass(eq=True)
 class FuzzySystem:
     """Two inputs, one output, and a rule base; immutable after construction."""
@@ -190,8 +184,8 @@ class FuzzySystem:
         in1, in2 = self.inputs
         # Degrees of both inputs' terms live in one flat list, in1's first.
         self._input_corners = (
-            tuple(_corners(mf) for _, mf in in1.terms),
-            tuple(_corners(mf) for _, mf in in2.terms),
+            tuple(mf.corners for _, mf in in1.terms),
+            tuple(mf.corners for _, mf in in2.terms),
         )
         offset = {in1.name: 0, in2.name: len(in1.terms)}
         clause_index = {

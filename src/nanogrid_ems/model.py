@@ -12,14 +12,14 @@ from __future__ import annotations
 import logging
 from typing import NamedTuple
 
-from .controller import BatteryState, NanogridParams
+from .controller import NanogridParams
 from .errors import SlackOverload
 
 log = logging.getLogger(__name__)
 
 # |p_bat| beyond this multiple of the charge limit signals a mis-sized
 # scenario rather than a controller bug.
-_SLACK_LIMIT_FACTOR = 4.0
+SLACK_LIMIT_FACTOR = 4.0
 
 
 class BusState(NamedTuple):
@@ -55,19 +55,21 @@ def grid_step(
     p_pv = pv_power(omega_cmd_rad_s, p_avail_w, params)
     p_aux = aux_power(omega_cmd_rad_s, params)
     p_bat = p_pv + p_aux - p_load_w
-    limit = _SLACK_LIMIT_FACTOR * params.p_charge_max_w
+    limit = SLACK_LIMIT_FACTOR * params.p_charge_max_w
     # Negated so that a NaN power fails the check too.
     if not abs(p_bat) <= limit:
         raise SlackOverload(f"battery asked for {p_bat:.0f} W (limit {limit:.0f} W)")
     return BusState(omega_cmd_rad_s, p_avail_w, p_pv, p_aux, p_load_w, p_bat)
 
 
-def battery_soc_update(state: BatteryState, dt_s: float, params: NanogridParams) -> float:
+def battery_soc_update(
+    soc_pct: float, p_bat_w: float, dt_s: float, params: NanogridParams
+) -> float:
     """Coulomb-counting SOC update at constant voltage and unit efficiency."""
     if dt_s <= 0:
         raise ValueError("dt must be positive")
-    delta = 100.0 * state.p_bat_w * (dt_s / 3600.0) / params.e_bat_wh
-    raw = state.soc_pct + delta
+    delta = 100.0 * p_bat_w * (dt_s / 3600.0) / params.e_bat_wh
+    raw = soc_pct + delta
     clamped = min(100.0, max(0.0, raw))
     if clamped != raw:
         log.warning("soc clamped from %.6f to %.1f", raw, clamped)

@@ -64,8 +64,8 @@ def _row_error(display: str, row: str, lineno: int) -> ParseError:
     raise AssertionError(f"row {row!r} parsed after failing")
 
 
-def load_profile(source, name: str | None = None) -> Profile:
-    """Parse and validate a profile file (header ``t_s,power_w``).
+def load_profile(source) -> Profile:
+    """Parse and validate a profile file (header ``t_s,power_w``) named by its stem.
 
     The file is read in chunks of lines rather than whole; a line ends at
     ``\\n``, ``\\r\\n`` or ``\\r``.
@@ -85,9 +85,7 @@ def load_profile(source, name: str | None = None) -> Profile:
                     # Blank rows are skipped; float() ignores the newline.
                     if not line.isspace():
                         raise _row_error(display, line.rstrip("\n"), lineno) from None
-    if name is None:
-        name = Path(display).stem
-    return Profile(name, np.array(ts), np.array(values))
+    return Profile(Path(display).stem, np.array(ts), np.array(values))
 
 
 def _parse_kv(text: str, display: str) -> dict[str, str]:

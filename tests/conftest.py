@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nanogrid_ems.controller import FuzzyEms, NanogridParams
-from nanogrid_ems.profiles import Profile
+from nanogrid_ems.engine import Profile
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Verbatim copies of the per-step code and the profile parser as they were
 before the step's constants moved to construction time, its results became
-named tuples and profiles came to be parsed in chunks of lines.
+named tuples, profiles came to be parsed in chunks of lines and
+``battery_soc_update`` came to take floats instead of a ``BatteryState``.
 
 Tests require the package to give the same floats as these copies, bit for
 bit, and the same errors.  ``assert_same_fields`` at the end is the one
@@ -9,6 +10,7 @@ helper not copied.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +22,8 @@ from nanogrid_ems.engine import Profile
 from nanogrid_ems.errors import ParseError, SlackOverload
 
 PROFILE_HEADER = "t_s,power_w"
+
+log = logging.getLogger(__name__)
 
 
 def _clamp01(x: float) -> float:
@@ -185,6 +189,18 @@ def grid_step(
             f"(limit {_SLACK_LIMIT_FACTOR * params.p_charge_max_w:.0f} W)"
         )
     return BusState(omega_cmd_rad_s, p_avail_w, p_pv, p_aux, p_load_w, p_bat)
+
+
+def battery_soc_update(state: BatteryState, dt_s: float, params: NanogridParams) -> float:
+    """Coulomb-counting SOC update at constant voltage and unit efficiency."""
+    if dt_s <= 0:
+        raise ValueError("dt must be positive")
+    delta = 100.0 * state.p_bat_w * (dt_s / 3600.0) / params.e_bat_wh
+    raw = state.soc_pct + delta
+    clamped = min(100.0, max(0.0, raw))
+    if clamped != raw:
+        log.warning("soc clamped from %.6f to %.1f", raw, clamped)
+    return clamped
 
 
 def _read_text(source) -> tuple[str, str]:

@@ -4,7 +4,7 @@ import pytest
 
 from nanogrid_ems import __version__
 from nanogrid_ems.cli import main
-from nanogrid_ems.profiles import parse_fuzzy_systems
+from nanogrid_ems.profiles import data_dir, parse_fuzzy_systems
 
 
 def write_profile(path, rows):
@@ -101,6 +101,76 @@ def test_non_finite_config_value_is_one_error_line(
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "must be finite" in lines[0]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [
+        ("params.p_pv_rating_w = 1e-320", "d_omega_plus_max = 0.0 outside"),
+        ("params.p_aux_rating_w = 1e-320", "d_omega_minus_max = 0.0 outside"),
+        ("params.m_pv_rad_s_per_w = 1.7e308", "d_omega_plus_max = inf outside"),
+        ("params.m_aux_rad_s_per_w = 1.7e308", "d_omega_minus_max = inf outside"),
+        ("params.c_bat_ah = 1e-30", "dt_s = 1.0 lets one step"),
+        ("params.c_bat_ah = 1e-200\nparams.v_bat_v = 1e-200", "e_bat_wh = 0.0 must"),
+        ("params.c_bat_ah = 1e200\nparams.v_bat_v = 1e200", "e_bat_wh = inf must"),
+        ("params.v_bat_v = 1e-30", "dt_s = 1.0 lets one step"),
+        ("params.v_bat_v = 1e-300", "dt_s = 1.0 lets one step"),
+        ("params.soc_max_pct = 1e300", "SOC thresholds"),
+        ("params.soc_min_pct = -5", "SOC thresholds"),
+    ],
+)
+def test_extreme_plant_value_is_one_error_line(tmp_path, line, reason, capsys):
+    """60 s over the bundled profiles: each value broke a guard or the SOC."""
+    data = data_dir()
+    cfg = tmp_path / "plant.cfg"
+    cfg.write_text(
+        f"name = plant\npv_profile = {data / 'pv_clear_day.csv'}\n"
+        f"load_profile = {data / 'load_residential.csv'}\n"
+        f"soc_init_pct = 50\nduration_s = 60\n{line}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and reason in lines[0]
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["a\x00b", "{tmp}/fz", "../fz"])
+def test_name_outside_the_output_directory_is_one_error_line(
+    tiny_scenario, tmp_path, name, capsys
+):
+    # A NUL ended in a ValueError traceback from open(); a '/' put the
+    # files outside the output directory.
+    name = name.format(tmp=tmp_path)
+    tiny_scenario.write_text(
+        tiny_scenario.read_text().replace("name = tiny", f"name = {name}")
+    )
+    out = tmp_path / "run" / "out"
+    assert main(["run", str(tiny_scenario), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: name {name!r} must not hold '/' or NUL\n"
+    assert not out.exists()
+
+
+def test_overflowing_energy_total_is_one_error_line(tmp_path, capsys):
+    # The turbine exactly carries a load of 2**1020 W, so the battery idles
+    # while the aux energy sum overflows after 16 steps.
+    big = repr(2.0**1020)
+    write_profile(tmp_path / "zero.csv", ["0,0", "60,0"])
+    write_profile(tmp_path / "big.csv", [f"0,{big}", f"60,{big}"])
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(
+        "name = big\npv_profile = zero.csv\nload_profile = big.csv\n"
+        "soc_init_pct = 0\nduration_s = 20\ncontroller = proportional\n"
+        f"params.p_aux_rating_w = {big}\nparams.m_aux_rad_s_per_w = {2.0**-1030!r}\n"
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: aux_energy_wh must be finite, got inf\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("bad_file", ["tiny.cfg", "pv.csv"])

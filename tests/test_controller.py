@@ -52,6 +52,22 @@ class TestParams:
         with pytest.raises(ValidationError):
             NanogridParams(soc_min_pct=60.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(soc_min_pct=-1.0),
+            dict(soc_max_pct=100.5),
+            dict(p_pv_rating_w=1e-320),
+            dict(m_aux_rad_s_per_w=1.7e308),
+            dict(m_pv_rad_s_per_w=1.0),
+            dict(c_bat_ah=1e-200, v_bat_v=1e-200),
+            dict(c_bat_ah=1e200, v_bat_v=1e200),
+        ],
+    )
+    def test_extreme_values_rejected(self, overrides):
+        with pytest.raises(ValidationError):
+            NanogridParams(**overrides)
+
     def test_positive_ratings_enforced(self):
         with pytest.raises(ValidationError):
             NanogridParams(p_pv_rating_w=0.0)

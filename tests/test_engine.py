@@ -87,6 +87,15 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError, match="steps"):
             scenario(duration_s=60.0, dt_s=5e-324)
 
+    def test_one_step_may_not_cross_the_low_soc_band(self):
+        # Defaults: 4000 W for dt moves the SOC by dt / 108 %; the band is 10 %.
+        assert scenario(dt_s=1000.0, duration_s=1000.0).dt_s == 1000.0
+        with pytest.raises(ValidationError, match="lets one step"):
+            scenario(dt_s=1100.0, duration_s=1100.0)
+        small = NanogridParams(c_bat_ah=0.05)  # 6 Wh: 18.5 % in one second
+        with pytest.raises(ValidationError, match="lets one step"):
+            scenario(params=small, dt_s=1.0)
+
 
 class TestRunScenario:
     def test_battery_alone_supplies_constant_load(self, flat_profile):

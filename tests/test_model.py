@@ -1,3 +1,6 @@
+import logging
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,23 +136,23 @@ class TestGridStep:
 
 class TestSocUpdate:
     def test_one_hour_full_charge(self, params):
-        new = battery_soc_update(BatteryState(50.0, 1000.0), 3600.0, params)
+        new = battery_soc_update(50.0, 1000.0, 3600.0, params)
         assert new == pytest.approx(58.333333333333, abs=1e-9)
 
     def test_idle_battery_holds(self, params):
-        assert battery_soc_update(BatteryState(50.0, 0.0), 123.0, params) == 50.0
+        assert battery_soc_update(50.0, 0.0, 123.0, params) == 50.0
 
     def test_short_discharge(self, params):
         # 1000 W for 36 s is 10 Wh out of 12000 Wh, i.e. 1/12 of a percent.
-        new = battery_soc_update(BatteryState(50.0, -1000.0), 36.0, params)
+        new = battery_soc_update(50.0, -1000.0, 36.0, params)
         assert new == pytest.approx(50.0 - 1.0 / 12.0, abs=1e-9)
 
     def test_clamps_at_full(self, params):
-        assert battery_soc_update(BatteryState(100.0, 1000.0), 3600.0, params) == 100.0
+        assert battery_soc_update(100.0, 1000.0, 3600.0, params) == 100.0
 
     def test_rejects_nonpositive_dt(self, params):
         with pytest.raises(ValueError):
-            battery_soc_update(BatteryState(50.0, 0.0), 0.0, params)
+            battery_soc_update(50.0, 0.0, 0.0, params)
 
     @settings(max_examples=60)
     @given(
@@ -159,7 +162,53 @@ class TestSocUpdate:
     )
     def test_two_half_steps_equal_one_full_step(self, soc, p_bat, dt):
         params = NanogridParams()
-        half = battery_soc_update(BatteryState(soc, p_bat), dt, params)
-        twice = battery_soc_update(BatteryState(half, p_bat), dt, params)
-        once = battery_soc_update(BatteryState(soc, p_bat), 2 * dt, params)
+        half = battery_soc_update(soc, p_bat, dt, params)
+        twice = battery_soc_update(half, p_bat, dt, params)
+        once = battery_soc_update(soc, p_bat, 2 * dt, params)
         assert twice == pytest.approx(once, abs=1e-9)
+
+    @settings(max_examples=400)
+    @given(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=100.0),
+            st.sampled_from([0.0, -0.0, 1e-9, 99.999999, 100.0]),
+        ),
+        st.one_of(
+            st.floats(min_value=-4000.0, max_value=4000.0),
+            st.sampled_from([0.0, -0.0, -4000.0, 4000.0]),
+        ),
+        st.one_of(
+            st.floats(min_value=0.0, max_value=3600.0, exclude_min=True),
+            st.sampled_from([5e-324, 1.0, 3600.0]),
+        ),
+    )
+    def test_matches_seed_bit_for_bit(self, soc, p_bat, dt):
+        """Same float, same sign of zero and the same clamp records."""
+        params = NanogridParams()
+        new, new_logs = _with_records(
+            "nanogrid_ems.model", battery_soc_update, soc, p_bat, dt, params
+        )
+        seed, seed_logs = _with_records(
+            reference_seed.__name__,
+            reference_seed.battery_soc_update,
+            BatteryState(soc, p_bat),
+            dt,
+            params,
+        )
+        assert new == seed
+        assert math.copysign(1.0, new) == math.copysign(1.0, seed)
+        assert new_logs == seed_logs
+
+
+def _with_records(logger_name, fn, *args):
+    """``fn(*args)`` and the messages it logged to ``logger_name``."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        value = fn(*args)
+    finally:
+        logger.removeHandler(handler)
+    return value, [r.getMessage() for r in records]

@@ -94,26 +94,6 @@ class NanogridParams:
         return self.c_bat_ah * self.v_bat_v
 
 
-@dataclass(frozen=True)
-class BatteryState:
-    """SOC in percent plus signed battery power (positive = charging)."""
-
-    soc_pct: float
-    p_bat_w: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.soc_pct <= 100.0:
-            raise ValidationError(f"soc {self.soc_pct} outside [0, 100]")
-
-    @property
-    def p_charge_w(self) -> float:
-        return max(self.p_bat_w, 0.0)
-
-    @property
-    def p_discharge_w(self) -> float:
-        return max(-self.p_bat_w, 0.0)
-
-
 class FrequencyCommand(NamedTuple):
     d_omega_plus: float
     d_omega_minus: float
@@ -197,7 +177,7 @@ def _calibration(system: FuzzySystem, bound: float) -> tuple[float, float, float
 
 
 class FuzzyEms:
-    """Fuzzy supervisory controller; stateless given (BatteryState, params).
+    """Fuzzy supervisory controller; stateless given (soc_pct, p_bat_w, params).
 
     Raw centroids of a Mamdani system cannot reach the ends of the output
     universe, so each guard output is passed through an affine calibration
@@ -228,14 +208,15 @@ class FuzzyEms:
         raw = self.depletion_guard.infer(d_soc_low, d_discharge)
         return -(bound * _clamp01((raw - c0) / span))
 
-    def step(self, state: BatteryState) -> FrequencyCommand:
+    def step(self, soc_pct: float, p_bat_w: float) -> FrequencyCommand:
+        """Command from SOC in percent and battery power (positive = charging)."""
         p = self.params
         plus = self.shift_plus(
-            normalize_soc_high(state.soc_pct, p), normalize_charge(state.p_charge_w, p)
+            normalize_soc_high(soc_pct, p), normalize_charge(max(p_bat_w, 0.0), p)
         )
         minus = self.shift_minus(
-            normalize_soc_low(state.soc_pct, p),
-            normalize_discharge(state.p_discharge_w, p),
+            normalize_soc_low(soc_pct, p),
+            normalize_discharge(max(-p_bat_w, 0.0), p),
         )
         return FrequencyCommand(plus, minus, p.omega_nom_rad_s + plus + minus)
 
@@ -253,10 +234,10 @@ class ProportionalEms:
         # Negation is exact, so negating once equals negating every step.
         self._minus_max = -params.d_omega_minus_max
 
-    def step(self, state: BatteryState) -> FrequencyCommand:
+    def step(self, soc_pct: float, p_bat_w: float) -> FrequencyCommand:
         p = self.params
-        plus = self._plus_max * (1.0 - normalize_soc_high(state.soc_pct, p))
-        minus = self._minus_max * (1.0 - normalize_soc_low(state.soc_pct, p))
+        plus = self._plus_max * (1.0 - normalize_soc_high(soc_pct, p))
+        minus = self._minus_max * (1.0 - normalize_soc_low(soc_pct, p))
         return FrequencyCommand(plus, minus, p.omega_nom_rad_s + plus + minus)
 
 

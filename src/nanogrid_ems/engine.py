@@ -15,7 +15,6 @@ import numpy as np
 
 from .controller import (
     CONTROLLER_KINDS,
-    BatteryState,
     NanogridParams,
     make_controller,
     require_finite,
@@ -174,7 +173,7 @@ def run_scenario(scenario: Scenario, pv: Profile, load: Profile) -> Trace:
     prev_p_bat = 0.0
     inputs = zip(pv_avail.tolist(), load_w.tolist())
     for k, (p_avail_k, p_load_k) in enumerate(inputs):
-        cmd = controller.step(BatteryState(soc, prev_p_bat))
+        cmd = controller.step(soc, prev_p_bat)
         bus = grid_step(cmd.omega_cmd, p_avail_k, p_load_k, params)
         soc = battery_soc_update(soc, bus.p_bat_w, dt_s, params)
         p_pv[k] = bus.p_pv_w

@@ -112,12 +112,6 @@ class LinguisticVariable:
     def term_names(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.terms)
 
-    def term(self, name: str) -> MembershipFunction:
-        for t, mf in self.terms:
-            if t == name:
-                return mf
-        raise KeyError(name)
-
 
 def fuzzify(var: LinguisticVariable, x: float) -> dict[str, float]:
     """Degree of every term at ``x``; degrees need not sum to 1."""

@@ -24,7 +24,7 @@ from .engine import (
     Trace,
 )
 from .errors import ParseError, ValidationError
-from .fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, Rule
+from .fuzzy import FuzzySystem, MembershipFunction
 
 PROFILE_HEADER = "t_s,power_w"
 
@@ -44,12 +44,6 @@ def _open_text(source):
             yield fh, display
         except UnicodeDecodeError as exc:
             raise ParseError(f"{display}: not valid UTF-8 ({exc.reason})") from None
-
-
-def _read_text(source) -> tuple[str, str]:
-    """Return (text, display name) for a path or file-like source."""
-    with _open_text(source) as (fh, display):
-        return fh.read(), display
 
 
 def _row_error(display: str, row: str, lineno: int) -> ParseError:
@@ -113,8 +107,8 @@ def _parse_float(pairs: dict[str, str], key: str) -> float:
 
 def parse_scenario(source) -> Scenario:
     """Parse a flat key-value scenario config, filling defaults for omitted keys."""
-    text, display = _read_text(source)
-    pairs = _parse_kv(text, display)
+    with _open_text(source) as (fh, display):
+        pairs = _parse_kv(fh.read(), display)
 
     settings = {f.name: f for f in fields(Scenario) if f.name != "params"}
     params = {f"params.{f.name}": f.name for f in fields(NanogridParams)}
@@ -134,20 +128,6 @@ def parse_scenario(source) -> Scenario:
         if key in pairs
     }
     return Scenario(params=NanogridParams(**overrides), **values)
-
-
-def render_scenario(scenario: Scenario) -> str:
-    """Config text that parses back to an equal Scenario."""
-    lines = []
-    for f in fields(Scenario):
-        if f.name != "params":
-            value = getattr(scenario, f.name)
-            lines.append(f"{f.name} = {value if isinstance(value, str) else repr(value)}")
-    lines += [
-        f"params.{f.name} = {getattr(scenario.params, f.name)!r}"
-        for f in fields(NanogridParams)
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def data_dir() -> Path:
@@ -234,13 +214,6 @@ def _render_mf(mf: MembershipFunction) -> str:
     return " ".join([mf.kind] + [repr(p) for p in mf.points])
 
 
-def _parse_mf(text: str) -> MembershipFunction:
-    parts = text.split()
-    if len(parts) < 4 or parts[0] not in ("tri", "trap"):
-        raise ValidationError(f"bad membership function spec {text!r}")
-    return MembershipFunction(tuple(float(p) for p in parts[1:]))
-
-
 def render_fuzzy_systems(systems: list[FuzzySystem]) -> str:
     """Flat key-value dump of partitions, universes and rule tables."""
     lines = [f"fis.count = {len(systems)}"]
@@ -264,76 +237,3 @@ def render_fuzzy_systems(systems: list[FuzzySystem]) -> str:
                 f" weight {rule.weight!r}"
             )
     return "\n".join(lines) + "\n"
-
-
-def _parse_variable(pairs: dict[str, str], prefix: str) -> LinguisticVariable:
-    terms = []
-    for key, value in pairs.items():
-        if key.startswith(f"{prefix}.term."):
-            terms.append((key.removeprefix(f"{prefix}.term."), _parse_mf(value)))
-    return LinguisticVariable(
-        name=pairs[f"{prefix}.name"],
-        lo=float(pairs[f"{prefix}.lo"]),
-        hi=float(pairs[f"{prefix}.hi"]),
-        terms=tuple(terms),
-    )
-
-
-def _parse_rule(text: str) -> Rule:
-    tokens = text.split()
-    if tokens[0] != "if" or "then" not in tokens or "weight" not in tokens:
-        raise ValidationError(f"bad rule spec {text!r}")
-    then_at = tokens.index("then")
-    weight_at = tokens.index("weight")
-    clause_tokens = tokens[1:then_at]
-    antecedent = []
-    connective = "and"
-    i = 0
-    while i < len(clause_tokens):
-        if clause_tokens[i] in ("and", "or"):
-            connective = clause_tokens[i]
-            i += 1
-            continue
-        if i + 2 >= len(clause_tokens) or clause_tokens[i + 1] != "is":
-            raise ValidationError(f"bad clause in rule {text!r}")
-        antecedent.append((clause_tokens[i], clause_tokens[i + 2]))
-        i += 3
-    return Rule(
-        antecedent=tuple(antecedent),
-        consequent=tokens[then_at + 1],
-        connective=connective,
-        weight=float(tokens[weight_at + 1]),
-    )
-
-
-def parse_fuzzy_systems(source) -> list[FuzzySystem]:
-    """Inverse of render_fuzzy_systems."""
-    text, display = _read_text(source)
-    pairs = _parse_kv(text, display)
-    try:
-        count = int(pairs["fis.count"])
-        systems = []
-        for i in range(count):
-            p = f"fis.{i}"
-            inputs = (
-                _parse_variable(pairs, f"{p}.input.0"),
-                _parse_variable(pairs, f"{p}.input.1"),
-            )
-            output = _parse_variable(pairs, f"{p}.output")
-            rules = []
-            j = 0
-            while f"{p}.rule.{j}" in pairs:
-                rules.append(_parse_rule(pairs[f"{p}.rule.{j}"]))
-                j += 1
-            systems.append(
-                FuzzySystem(
-                    name=pairs[f"{p}.name"],
-                    inputs=inputs,
-                    output=output,
-                    rules=tuple(rules),
-                    resolution=int(pairs[f"{p}.resolution"]),
-                )
-            )
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"{display}: bad fuzzy system dump: {exc}") from None
-    return systems

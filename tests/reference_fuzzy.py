@@ -10,6 +10,8 @@ import numpy as np
 
 from nanogrid_ems.errors import EmptyAggregate
 
+from fis_dump import term
+
 FINE_SAMPLES = 1_000_000
 
 
@@ -53,7 +55,7 @@ def infer_reference(system, x1, x2, samples=FINE_SAMPLES):
         if strength <= 0.0:
             continue
         fired_any = True
-        curve = membership_curve(system.output.term(rule.consequent).points, xs)
+        curve = membership_curve(term(system.output, rule.consequent).points, xs)
         np.maximum(aggregate, strength * curve, out=aggregate)
     if not fired_any:
         raise ArithmeticError("reference aggregate is empty")
@@ -66,8 +68,8 @@ def infer_reference(system, x1, x2, samples=FINE_SAMPLES):
 def calibrated_shift_reference(system, bound, x1, x2, samples=FINE_SAMPLES):
     """Reference for the calibrated guard output."""
     xs = np.linspace(system.output.lo, system.output.hi, samples, endpoint=False)
-    zero_curve = membership_curve(system.output.term("zero").points, xs)
-    large_curve = membership_curve(system.output.term("large").points, xs)
+    zero_curve = membership_curve(term(system.output, "zero").points, xs)
+    large_curve = membership_curve(term(system.output, "large").points, xs)
     c0 = float((xs * zero_curve).sum() / zero_curve.sum())
     c1 = float((xs * large_curve).sum() / large_curve.sum())
     raw = infer_reference(system, x1, x2, samples)

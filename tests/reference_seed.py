@@ -1,7 +1,8 @@
 """Verbatim copies of the per-step code and the profile parser as they were
 before the step's constants moved to construction time, its results became
-named tuples, profiles came to be parsed in chunks of lines and
-``battery_soc_update`` came to take floats instead of a ``BatteryState``.
+named tuples, profiles came to be parsed in chunks of lines, and
+``battery_soc_update`` and the controllers' ``step`` came to take floats
+instead of a ``BatteryState``.
 
 Tests require the package to give the same floats as these copies, bit for
 bit, and the same errors.  ``assert_same_fields`` at the end is the one
@@ -17,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from nanogrid_ems.controller import BatteryState, NanogridParams, build_guard_system
+from nanogrid_ems.controller import NanogridParams, build_guard_system
 from nanogrid_ems.engine import Profile
-from nanogrid_ems.errors import ParseError, SlackOverload
+from nanogrid_ems.errors import ParseError, SlackOverload, ValidationError
 
 PROFILE_HEADER = "t_s,power_w"
 
@@ -28,6 +29,26 @@ log = logging.getLogger(__name__)
 
 def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
+
+
+@dataclass(frozen=True)
+class BatteryState:
+    """SOC in percent plus signed battery power (positive = charging)."""
+
+    soc_pct: float
+    p_bat_w: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.soc_pct <= 100.0:
+            raise ValidationError(f"soc {self.soc_pct} outside [0, 100]")
+
+    @property
+    def p_charge_w(self) -> float:
+        return max(self.p_bat_w, 0.0)
+
+    @property
+    def p_discharge_w(self) -> float:
+        return max(-self.p_bat_w, 0.0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import pytest
 
 from nanogrid_ems.cli import main
 from nanogrid_ems.controller import (
-    BatteryState,
     NanogridParams,
     normalize_charge,
     normalize_discharge,

@@ -4,7 +4,9 @@ import pytest
 
 from nanogrid_ems import __version__
 from nanogrid_ems.cli import main
-from nanogrid_ems.profiles import data_dir, parse_fuzzy_systems
+from nanogrid_ems.profiles import data_dir
+
+from fis_dump import parse_fuzzy_systems
 
 
 def write_profile(path, rows):

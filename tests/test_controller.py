@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanogrid_ems.controller import (
-    BatteryState,
     FuzzyEms,
     NanogridParams,
     ProportionalEms,
@@ -71,20 +70,6 @@ class TestParams:
     def test_positive_ratings_enforced(self):
         with pytest.raises(ValidationError):
             NanogridParams(p_pv_rating_w=0.0)
-
-
-class TestBatteryState:
-    def test_sign_convention(self):
-        charging = BatteryState(50.0, 400.0)
-        assert charging.p_charge_w == 400.0
-        assert charging.p_discharge_w == 0.0
-        discharging = BatteryState(50.0, -250.0)
-        assert discharging.p_charge_w == 0.0
-        assert discharging.p_discharge_w == 250.0
-
-    def test_soc_bounds_enforced(self):
-        with pytest.raises(ValidationError):
-            BatteryState(101.0, 0.0)
 
 
 class TestNormalizations:
@@ -196,26 +181,26 @@ class TestFuzzyShifts:
 
 class TestEmsStep:
     def test_mid_soc_idle_battery_keeps_nominal_frequency(self, ems):
-        cmd = ems.step(BatteryState(60.0, 0.0))
+        cmd = ems.step(60.0, 0.0)
         assert cmd.omega_cmd == 314.16
         assert abs(cmd.d_omega_plus) < 1e-12
         assert abs(cmd.d_omega_minus) < 1e-12
 
     def test_full_battery_commands_maximum_raise(self, ems, params):
-        cmd = ems.step(BatteryState(95.0, 0.0))
+        cmd = ems.step(95.0, 0.0)
         assert cmd.d_omega_plus == params.d_omega_plus_max
         assert cmd.d_omega_minus == -0.0
         assert cmd.omega_cmd == params.omega_nom_rad_s + params.d_omega_plus_max
         assert cmd.omega_cmd == pytest.approx(314.32725, abs=1e-9)
 
     def test_empty_battery_commands_maximum_drop(self, ems, params):
-        cmd = ems.step(BatteryState(40.0, 0.0))
+        cmd = ems.step(40.0, 0.0)
         assert cmd.d_omega_plus == 0.0
         assert cmd.d_omega_minus == -params.d_omega_minus_max
         assert cmd.omega_cmd == pytest.approx(314.085, abs=1e-9)
 
     def test_command_composition(self, ems, params):
-        cmd = ems.step(BatteryState(45.0, -300.0))
+        cmd = ems.step(45.0, -300.0)
         assert cmd.omega_cmd == params.omega_nom_rad_s + cmd.d_omega_plus + cmd.d_omega_minus
 
     @settings(max_examples=60, deadline=None)
@@ -225,7 +210,7 @@ class TestEmsStep:
     )
     def test_command_range(self, soc, p_bat):
         params = NanogridParams()
-        cmd = FuzzyEms(params).step(BatteryState(soc, p_bat))
+        cmd = FuzzyEms(params).step(soc, p_bat)
         assert 0.0 <= cmd.d_omega_plus <= params.d_omega_plus_max
         assert -params.d_omega_minus_max <= cmd.d_omega_minus <= 0.0
         lo = params.omega_nom_rad_s - params.d_omega_minus_max
@@ -237,7 +222,7 @@ class TestEmsStep:
         # 40% for the drop guard, so both can never saturate together.
         for i in range(1001):
             soc = i * 0.1
-            cmd = ems.step(BatteryState(soc, 0.0))
+            cmd = ems.step(soc, 0.0)
             both_hot = (
                 cmd.d_omega_plus > 0.9 * params.d_omega_plus_max
                 and -cmd.d_omega_minus > 0.9 * params.d_omega_minus_max
@@ -247,23 +232,23 @@ class TestEmsStep:
 
 class TestProportional:
     def test_full_battery(self, params):
-        cmd = ProportionalEms(params).step(BatteryState(95.0, 0.0))
+        cmd = ProportionalEms(params).step(95.0, 0.0)
         assert cmd.d_omega_plus == pytest.approx(0.167250, abs=1e-12)
         assert cmd.d_omega_minus == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_battery(self, params):
-        cmd = ProportionalEms(params).step(BatteryState(40.0, 0.0))
+        cmd = ProportionalEms(params).step(40.0, 0.0)
         assert cmd.d_omega_plus == pytest.approx(0.0, abs=1e-15)
         assert cmd.d_omega_minus == pytest.approx(-0.075, abs=1e-12)
 
     def test_mid_soc(self, params):
-        cmd = ProportionalEms(params).step(BatteryState(67.5, 0.0))
+        cmd = ProportionalEms(params).step(67.5, 0.0)
         assert cmd.d_omega_plus == pytest.approx(0.0836250, abs=1e-12)
         assert cmd.d_omega_minus == pytest.approx(0.0, abs=1e-15)
 
     def test_ignores_battery_power(self, params):
-        idle = ProportionalEms(params).step(BatteryState(70.0, 0.0))
-        loaded = ProportionalEms(params).step(BatteryState(70.0, 999.0))
+        idle = ProportionalEms(params).step(70.0, 0.0)
+        loaded = ProportionalEms(params).step(70.0, 999.0)
         assert idle == loaded
 
 
@@ -320,8 +305,8 @@ class TestMatchesSeed:
     )
     def test_step_bit_identical(self, kind, params, soc, p_bat):
         new, seed = controller_pair(kind, params)
-        state = BatteryState(soc, p_bat)
-        reference_seed.assert_same_fields(new.step(state), seed.step(state))
+        seed_state = reference_seed.BatteryState(soc, p_bat)
+        reference_seed.assert_same_fields(new.step(soc, p_bat), seed.step(seed_state))
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(PARAM_SETS), MARGIN, MARGIN)

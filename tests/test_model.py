@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanogrid_ems.controller import BatteryState, NanogridParams
+from nanogrid_ems.controller import NanogridParams
 from nanogrid_ems.errors import SlackOverload
 from nanogrid_ems.model import aux_power, battery_soc_update, grid_step, pv_power
 
@@ -191,7 +191,7 @@ class TestSocUpdate:
         seed, seed_logs = _with_records(
             reference_seed.__name__,
             reference_seed.battery_soc_update,
-            BatteryState(soc, p_bat),
+            reference_seed.BatteryState(soc, p_bat),
             dt,
             params,
         )

@@ -18,15 +18,14 @@ from nanogrid_ems.errors import (
 from nanogrid_ems.profiles import (
     load_profile,
     load_scenario,
-    parse_fuzzy_systems,
     parse_scenario,
-    render_scenario,
     render_fuzzy_systems,
     render_trace,
     write_outputs,
 )
 
 import reference_seed
+from fis_dump import parse_fuzzy_systems, render_scenario
 from trace_rows import Row, trace_of
 
 

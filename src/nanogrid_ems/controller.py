@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 from .errors import ValidationError
 from .fuzzy import FuzzySystem, LinguisticVariable, Rule, triangular
@@ -92,12 +91,6 @@ class NanogridParams:
     @property
     def e_bat_wh(self) -> float:
         return self.c_bat_ah * self.v_bat_v
-
-
-class FrequencyCommand(NamedTuple):
-    d_omega_plus: float
-    d_omega_minus: float
-    omega_cmd: float
 
 
 def normalize_soc_high(soc_pct: float, params: NanogridParams) -> float:
@@ -208,8 +201,8 @@ class FuzzyEms:
         raw = self.depletion_guard.infer(d_soc_low, d_discharge)
         return -(bound * _clamp01((raw - c0) / span))
 
-    def step(self, soc_pct: float, p_bat_w: float) -> FrequencyCommand:
-        """Command from SOC in percent and battery power (positive = charging)."""
+    def step(self, soc_pct: float, p_bat_w: float) -> tuple[float, float, float]:
+        """``(d_omega_plus, d_omega_minus, omega_cmd)``; p_bat_w > 0 is charging."""
         p = self.params
         plus = self.shift_plus(
             normalize_soc_high(soc_pct, p), normalize_charge(max(p_bat_w, 0.0), p)
@@ -218,7 +211,7 @@ class FuzzyEms:
             normalize_soc_low(soc_pct, p),
             normalize_discharge(max(-p_bat_w, 0.0), p),
         )
-        return FrequencyCommand(plus, minus, p.omega_nom_rad_s + plus + minus)
+        return plus, minus, p.omega_nom_rad_s + plus + minus
 
 
 class ProportionalEms:
@@ -234,11 +227,12 @@ class ProportionalEms:
         # Negation is exact, so negating once equals negating every step.
         self._minus_max = -params.d_omega_minus_max
 
-    def step(self, soc_pct: float, p_bat_w: float) -> FrequencyCommand:
+    def step(self, soc_pct: float, p_bat_w: float) -> tuple[float, float, float]:
+        """``(d_omega_plus, d_omega_minus, omega_cmd)``, as ``FuzzyEms.step``."""
         p = self.params
         plus = self._plus_max * (1.0 - normalize_soc_high(soc_pct, p))
         minus = self._minus_max * (1.0 - normalize_soc_low(soc_pct, p))
-        return FrequencyCommand(plus, minus, p.omega_nom_rad_s + plus + minus)
+        return plus, minus, p.omega_nom_rad_s + plus + minus
 
 
 _CONTROLLERS = {"flc": FuzzyEms, "proportional": ProportionalEms}

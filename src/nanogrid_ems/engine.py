@@ -170,20 +170,15 @@ def run_scenario(scenario: Scenario, pv: Profile, load: Profile) -> Trace:
 
     p_pv, p_aux, p_bat, soc_pct, omega, d_plus, d_minus = np.empty((7, n))
     soc = scenario.soc_init_pct
-    prev_p_bat = 0.0
+    p_bat_k = 0.0
     inputs = zip(pv_avail.tolist(), load_w.tolist())
     for k, (p_avail_k, p_load_k) in enumerate(inputs):
-        cmd = controller.step(soc, prev_p_bat)
-        bus = grid_step(cmd.omega_cmd, p_avail_k, p_load_k, params)
-        soc = battery_soc_update(soc, bus.p_bat_w, dt_s, params)
-        p_pv[k] = bus.p_pv_w
-        p_aux[k] = bus.p_aux_w
-        p_bat[k] = bus.p_bat_w
+        d_plus[k], d_minus[k], omega_k = controller.step(soc, p_bat_k)
+        p_pv[k], p_aux[k], p_bat_k = grid_step(omega_k, p_avail_k, p_load_k, params)
+        soc = battery_soc_update(soc, p_bat_k, dt_s, params)
+        p_bat[k] = p_bat_k
         soc_pct[k] = soc
-        omega[k] = bus.omega_rad_s
-        d_plus[k] = cmd.d_omega_plus
-        d_minus[k] = cmd.d_omega_minus
-        prev_p_bat = bus.p_bat_w
+        omega[k] = omega_k
     return Trace(
         t_s=ts,
         p_pv_avail_w=pv_avail,

@@ -25,7 +25,7 @@ outputs are pinned to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class MembershipFunction:
     """
 
     points: tuple[float, ...]
-    corners: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) not in (3, 4):
@@ -145,15 +144,6 @@ class FuzzySystem:
     output: LinguisticVariable
     rules: tuple[Rule, ...]
     resolution: int = 1001
-
-    # Compiled once in __post_init__; see the module docstring.
-    _input_corners: tuple = field(default=None, init=False, repr=False, compare=False)
-    _rule_table: tuple = field(default=None, init=False, repr=False, compare=False)
-    _xs: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _term_values: tuple = field(default=None, init=False, repr=False, compare=False)
-    _term_masses: tuple = field(default=None, init=False, repr=False, compare=False)
-    _term_centroids: tuple = field(default=None, init=False, repr=False, compare=False)
-    _dx: float = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.inputs) != 2:

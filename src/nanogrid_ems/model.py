@@ -10,7 +10,6 @@ slack unit (positive battery power = charging).
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple
 
 from .controller import NanogridParams
 from .errors import SlackOverload
@@ -20,17 +19,6 @@ log = logging.getLogger(__name__)
 # |p_bat| beyond this multiple of the charge limit signals a mis-sized
 # scenario rather than a controller bug.
 SLACK_LIMIT_FACTOR = 4.0
-
-
-class BusState(NamedTuple):
-    """All bus quantities for one step; p_bat = p_pv + p_aux - p_load exactly."""
-
-    omega_rad_s: float
-    p_pv_avail_w: float
-    p_pv_w: float
-    p_aux_w: float
-    p_load_w: float
-    p_bat_w: float
 
 
 def pv_power(omega_rad_s: float, p_avail_w: float, params: NanogridParams) -> float:
@@ -50,8 +38,11 @@ def grid_step(
     p_avail_w: float,
     p_load_w: float,
     params: NanogridParams,
-) -> BusState:
-    """Resolve unit powers at the commanded frequency; battery is the slack."""
+) -> tuple[float, float, float]:
+    """``(p_pv_w, p_aux_w, p_bat_w)`` at the commanded frequency; battery is the slack.
+
+    p_bat = p_pv + p_aux - p_load exactly.
+    """
     p_pv = pv_power(omega_cmd_rad_s, p_avail_w, params)
     p_aux = aux_power(omega_cmd_rad_s, params)
     p_bat = p_pv + p_aux - p_load_w
@@ -59,7 +50,7 @@ def grid_step(
     # Negated so that a NaN power fails the check too.
     if not abs(p_bat) <= limit:
         raise SlackOverload(f"battery asked for {p_bat:.0f} W (limit {limit:.0f} W)")
-    return BusState(omega_cmd_rad_s, p_avail_w, p_pv, p_aux, p_load_w, p_bat)
+    return p_pv, p_aux, p_bat
 
 
 def battery_soc_update(

@@ -141,7 +141,7 @@ def resolve_scenario_path(name_or_path) -> Path:
     if path.exists():
         return path
     bundled = data_dir() / f"{path.name}.cfg"
-    if path.suffix == "" and bundled.exists():
+    if str(name_or_path) == path.name and bundled.exists():
         return bundled
     raise FileNotFoundError(f"scenario file not found: {name_or_path}")
 

@@ -1,8 +1,8 @@
 """Verbatim copies of the per-step code and the profile parser as they were
 before the step's constants moved to construction time, its results became
-named tuples, profiles came to be parsed in chunks of lines, and
-``battery_soc_update`` and the controllers' ``step`` came to take floats
-instead of a ``BatteryState``.
+named tuples and then plain tuples, profiles came to be parsed in chunks of
+lines, and ``battery_soc_update`` and the controllers' ``step`` came to take
+floats instead of a ``BatteryState``.
 
 Tests require the package to give the same floats as these copies, bit for
 bit, and the same errors.  ``assert_same_fields`` at the end is the one
@@ -256,11 +256,12 @@ def load_profile(source, name: str | None = None) -> Profile:
 
 
 
-def assert_same_fields(new, seed) -> None:
-    """``new`` has ``seed``'s fields in order, each equal with the same sign."""
-    names = list(seed.__dataclass_fields__)
-    assert list(new._fields) == names
-    for name in names:
-        a, b = getattr(new, name), getattr(seed, name)
+def assert_same_fields(new, seed, names=None) -> None:
+    """Position i of the tuple ``new`` equals ``seed``'s field ``names[i]``, with
+    the same sign; ``names`` defaults to all of ``seed``'s fields, in order."""
+    names = names or tuple(seed.__dataclass_fields__)
+    assert len(new) == len(names)
+    for name, a in zip(names, new):
+        b = getattr(seed, name)
         assert a == b, name
         assert math.copysign(1.0, a) == math.copysign(1.0, b), name

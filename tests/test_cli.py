@@ -191,8 +191,14 @@ def test_invalid_utf8_is_one_error_line(tiny_scenario, tmp_path, bad_file, capsy
 
 
 def test_run_missing_scenario(tmp_path, capsys):
-    assert main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
-    assert "nope.cfg" in capsys.readouterr().err
+    # A path whose last component is a bundled name is still a path.
+    for name in ("nope.cfg", "scenario1_high_soc"):
+        assert main(["run", str(tmp_path / name), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert name in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(tmp_path / name) in lines[0]
 
 
 def test_proportional_override_exposes_violations(tiny_scenario, tmp_path, capsys):

@@ -181,27 +181,27 @@ class TestFuzzyShifts:
 
 class TestEmsStep:
     def test_mid_soc_idle_battery_keeps_nominal_frequency(self, ems):
-        cmd = ems.step(60.0, 0.0)
-        assert cmd.omega_cmd == 314.16
-        assert abs(cmd.d_omega_plus) < 1e-12
-        assert abs(cmd.d_omega_minus) < 1e-12
+        plus, minus, omega = ems.step(60.0, 0.0)
+        assert omega == 314.16
+        assert abs(plus) < 1e-12
+        assert abs(minus) < 1e-12
 
     def test_full_battery_commands_maximum_raise(self, ems, params):
-        cmd = ems.step(95.0, 0.0)
-        assert cmd.d_omega_plus == params.d_omega_plus_max
-        assert cmd.d_omega_minus == -0.0
-        assert cmd.omega_cmd == params.omega_nom_rad_s + params.d_omega_plus_max
-        assert cmd.omega_cmd == pytest.approx(314.32725, abs=1e-9)
+        plus, minus, omega = ems.step(95.0, 0.0)
+        assert plus == params.d_omega_plus_max
+        assert minus == -0.0
+        assert omega == params.omega_nom_rad_s + params.d_omega_plus_max
+        assert omega == pytest.approx(314.32725, abs=1e-9)
 
     def test_empty_battery_commands_maximum_drop(self, ems, params):
-        cmd = ems.step(40.0, 0.0)
-        assert cmd.d_omega_plus == 0.0
-        assert cmd.d_omega_minus == -params.d_omega_minus_max
-        assert cmd.omega_cmd == pytest.approx(314.085, abs=1e-9)
+        plus, minus, omega = ems.step(40.0, 0.0)
+        assert plus == 0.0
+        assert minus == -params.d_omega_minus_max
+        assert omega == pytest.approx(314.085, abs=1e-9)
 
     def test_command_composition(self, ems, params):
-        cmd = ems.step(45.0, -300.0)
-        assert cmd.omega_cmd == params.omega_nom_rad_s + cmd.d_omega_plus + cmd.d_omega_minus
+        plus, minus, omega = ems.step(45.0, -300.0)
+        assert omega == params.omega_nom_rad_s + plus + minus
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -210,41 +210,41 @@ class TestEmsStep:
     )
     def test_command_range(self, soc, p_bat):
         params = NanogridParams()
-        cmd = FuzzyEms(params).step(soc, p_bat)
-        assert 0.0 <= cmd.d_omega_plus <= params.d_omega_plus_max
-        assert -params.d_omega_minus_max <= cmd.d_omega_minus <= 0.0
+        plus, minus, omega = FuzzyEms(params).step(soc, p_bat)
+        assert 0.0 <= plus <= params.d_omega_plus_max
+        assert -params.d_omega_minus_max <= minus <= 0.0
         lo = params.omega_nom_rad_s - params.d_omega_minus_max
         hi = params.omega_nom_rad_s + params.d_omega_plus_max
-        assert lo - 1e-12 <= cmd.omega_cmd <= hi + 1e-12
+        assert lo - 1e-12 <= omega <= hi + 1e-12
 
     def test_no_soc_drives_both_guards_hard(self, ems, params):
         # The critical regions are disjoint: 95% SOC for the raise guard,
         # 40% for the drop guard, so both can never saturate together.
         for i in range(1001):
             soc = i * 0.1
-            cmd = ems.step(soc, 0.0)
+            plus, minus, omega = ems.step(soc, 0.0)
             both_hot = (
-                cmd.d_omega_plus > 0.9 * params.d_omega_plus_max
-                and -cmd.d_omega_minus > 0.9 * params.d_omega_minus_max
+                plus > 0.9 * params.d_omega_plus_max
+                and -minus > 0.9 * params.d_omega_minus_max
             )
             assert not both_hot
 
 
 class TestProportional:
     def test_full_battery(self, params):
-        cmd = ProportionalEms(params).step(95.0, 0.0)
-        assert cmd.d_omega_plus == pytest.approx(0.167250, abs=1e-12)
-        assert cmd.d_omega_minus == pytest.approx(0.0, abs=1e-15)
+        plus, minus, omega = ProportionalEms(params).step(95.0, 0.0)
+        assert plus == pytest.approx(0.167250, abs=1e-12)
+        assert minus == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_battery(self, params):
-        cmd = ProportionalEms(params).step(40.0, 0.0)
-        assert cmd.d_omega_plus == pytest.approx(0.0, abs=1e-15)
-        assert cmd.d_omega_minus == pytest.approx(-0.075, abs=1e-12)
+        plus, minus, omega = ProportionalEms(params).step(40.0, 0.0)
+        assert plus == pytest.approx(0.0, abs=1e-15)
+        assert minus == pytest.approx(-0.075, abs=1e-12)
 
     def test_mid_soc(self, params):
-        cmd = ProportionalEms(params).step(67.5, 0.0)
-        assert cmd.d_omega_plus == pytest.approx(0.0836250, abs=1e-12)
-        assert cmd.d_omega_minus == pytest.approx(0.0, abs=1e-15)
+        plus, minus, omega = ProportionalEms(params).step(67.5, 0.0)
+        assert plus == pytest.approx(0.0836250, abs=1e-12)
+        assert minus == pytest.approx(0.0, abs=1e-15)
 
     def test_ignores_battery_power(self, params):
         idle = ProportionalEms(params).step(70.0, 0.0)

@@ -13,6 +13,7 @@ from nanogrid_ems.engine import (
     summarize,
 )
 from nanogrid_ems.errors import EmptyTrace, ProfileOutOfRange, ValidationError
+from nanogrid_ems.model import battery_soc_update
 
 from trace_rows import Row, rows, summarize_rows_seed, trace_of
 
@@ -187,12 +188,22 @@ class TestRunScenario:
         assert len(trace) == 30
         lo = params.omega_nom_rad_s - params.d_omega_minus_max
         hi = params.omega_nom_rad_s + params.d_omega_plus_max
+        nom = params.omega_nom_rad_s
+        replayed_soc = soc
         for r in rows(trace):
             assert r.p_pv_w + r.p_aux_w - r.p_load_w - r.p_bat_w == 0.0
             assert lo - 1e-12 <= r.omega_rad_s <= hi + 1e-12
             assert 0.0 <= r.soc_pct <= 100.0
             assert 0.0 <= r.p_pv_w <= r.p_pv_avail_w
             assert 0.0 <= r.p_aux_w <= params.p_aux_rating_w
+            assert r.omega_rad_s == nom + r.d_omega_plus + r.d_omega_minus
+            assert 0.0 <= r.d_omega_plus <= params.d_omega_plus_max
+            assert -params.d_omega_minus_max <= r.d_omega_minus <= 0.0
+            # One-sided droop: PV curtails only above nominal, aux only below.
+            assert r.p_pv_w == r.p_pv_avail_w or r.omega_rad_s > nom
+            assert r.p_aux_w == 0.0 or r.omega_rad_s < nom
+            replayed_soc = battery_soc_update(replayed_soc, r.p_bat_w, sc.dt_s, params)
+            assert r.soc_pct == replayed_soc
 
 
 class TestSummarize:

@@ -7,6 +7,8 @@ so that measured data can be substituted for the bundled curves.
 
 from __future__ import annotations
 
+import io
+import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, fields
 from importlib import resources
@@ -58,28 +60,58 @@ def _row_error(display: str, row: str, lineno: int) -> ParseError:
     raise AssertionError(f"row {row!r} parsed after failing")
 
 
+def _parse_rows(lines, display: str) -> tuple[list[float], list[float]]:
+    """What a profile row may hold: two fields that float() accepts, or blanks."""
+    ts, values = [], []
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            t, power = line.split(",")
+            ts.append(float(t))
+            values.append(float(power))
+        except ValueError:
+            # Blank rows are skipped; float() ignores the newline.
+            if not line.isspace():
+                raise _row_error(display, line.rstrip("\n"), lineno) from None
+    return ts, values
+
+
+def _numpy_columns(fh) -> np.ndarray | None:
+    """The rows left in ``fh`` as a (2, n) array read by numpy's C reader, or
+    None where it refuses them."""
+    try:
+        # An empty body warns; a warning refuses the rows like an error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return table.T.copy() if table.shape[1] == 2 else None
+
+
 def load_profile(source) -> Profile:
     """Parse and validate a profile file (header ``t_s,power_w``) named by its stem.
 
-    The file is read in chunks of lines rather than whole; a line ends at
-    ``\\n``, ``\\r\\n`` or ``\\r``.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``. numpy's reader parses the
+    rows in one pass. Whenever it refuses them, ``_parse_rows`` parses the
+    same rows again: it accepts what numpy does not but float() does
+    (``1_0``, blank rows), and otherwise raises the error for the first bad
+    row.
     """
-    ts, values = [], []
     with _open_text(source) as (fh, display):
         if fh.readline().strip() != PROFILE_HEADER:
             raise ParseError(f"{display}: expected header {PROFILE_HEADER!r}", line=1)
-        lineno = 1
-        while chunk := fh.readlines(1 << 16):
-            for lineno, line in enumerate(chunk, start=lineno + 1):
-                try:
-                    t, power = line.split(",")
-                    ts.append(float(t))
-                    values.append(float(power))
-                except ValueError:
-                    # Blank rows are skipped; float() ignores the newline.
-                    if not line.isspace():
-                        raise _row_error(display, line.rstrip("\n"), lineno) from None
-    return Profile(Path(display).stem, np.array(ts), np.array(values))
+        if not fh.seekable():
+            fh = io.StringIO(fh.read())
+        start = fh.tell()
+        columns = _numpy_columns(fh)
+        fh.seek(start)
+        body = fh.read()
+        # numpy's reader strips \x1c-\x1f around a number; float() does not.
+        if columns is None or any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+            fh.seek(start)
+            columns = np.array(_parse_rows(fh, display))
+    t_s, power_w = columns
+    return Profile(Path(display).stem, t_s, power_w)
 
 
 def _parse_kv(text: str, display: str) -> dict[str, str]:

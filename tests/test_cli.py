@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -81,6 +82,19 @@ def test_nan_in_profile_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_late_bad_profile_row_is_one_error_line(tiny_scenario, tmp_path, capsys):
+    # numpy's reader refuses the file; the line loop names the row.
+    rows = [f"{i / 1000},100" for i in range(100_000)]
+    rows[89_999] = "89.999,1e"  # line 1 is the header
+    write_profile(tmp_path / "load.csv", rows)
+    assert main(["run", str(tiny_scenario), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: line 90001: {tmp_path / 'load.csv'}: "
+        "could not convert string to float: '1e'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -138,6 +152,24 @@ def test_extreme_plant_value_is_one_error_line(tmp_path, line, reason, capsys):
     assert lines[0].startswith("error: ") and reason in lines[0]
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+def test_tiny_shift_bound_runs(tmp_path, capsys):
+    # The overcharge guard's output spans 7.5e-15 rad/s; an absolute
+    # empty-aggregate threshold called every aggregate on it empty.
+    data = data_dir()
+    cfg = tmp_path / "plant.cfg"
+    cfg.write_text(
+        f"name = plant\npv_profile = {data / 'pv_clear_day.csv'}\n"
+        f"load_profile = {data / 'load_residential.csv'}\n"
+        "soc_init_pct = 50\nduration_s = 60\nparams.p_pv_rating_w = 1e-10\n"
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    summary = dict(line.split(" = ") for line in captured.out.splitlines())
+    assert all(math.isfinite(float(value)) for value in summary.values())
+    assert float(summary["curtailed_energy_wh"]) == 0.0
 
 
 @pytest.mark.parametrize("name", ["a\x00b", "{tmp}/fz", "../fz"])

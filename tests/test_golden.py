@@ -1,6 +1,7 @@
-"""Byte-identity pins: the bundled outputs must match perfbench/golden.json.
+"""Byte-identity pins: the outputs must match perfbench/golden.json.
 
-Each bundled ``run`` invocation and ``dump-fis`` runs in-process through
+Each bundled ``run`` invocation, ``dump-fis`` and ``compare`` on the seed-1
+measured-style inputs of ``perfbench/measured.py`` runs in-process through
 ``cli.main``; the sha256 of its standard output and of every file it writes
 must equal the pinned digest.  The digests are only read here; they are
 rewritten by ``perfbench/make_golden.py`` in a change that alters outputs
@@ -8,6 +9,7 @@ on purpose.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -15,7 +17,8 @@ import pytest
 
 from nanogrid_ems.cli import main
 
-GOLDEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN_PATH = PERFBENCH / "golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 PINNED = sorted(
     label for label in GOLDEN if label.startswith("run ") or label == "dump-fis"
@@ -39,7 +42,23 @@ def test_outputs_match_golden_digests(label, tmp_path, capsys):
         argv += ["--out", str(out / name)]
     else:
         argv += ["--out", str(out)]
-    assert main(argv) == 0
+    assert_matches_pins(main(argv), out, pins, capsys)
+
+
+def test_measured_compare_matches_golden_digests(tmp_path, capsys):
+    # Two 432 001-row profiles: the one pin that exercises the profile parser
+    # at the size of measured data.
+    spec = importlib.util.spec_from_file_location("measured", PERFBENCH / "measured.py")
+    measured = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(measured)
+    config = measured.write_inputs(tmp_path / "inputs", 1)
+    out = tmp_path / "out"
+    status = main(["compare", str(config), "--out", str(out)])
+    assert_matches_pins(status, out, GOLDEN["compare measured_day seed=1"], capsys)
+
+
+def assert_matches_pins(status, out, pins, capsys):
+    assert status == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     blobs = {"stdout": captured.out.encode("utf-8")}

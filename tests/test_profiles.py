@@ -1,7 +1,10 @@
 import io
+import os
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from nanogrid_ems.errors import (
     ProfileOutOfRange,
     ValidationError,
 )
+from nanogrid_ems import profiles
 from nanogrid_ems.profiles import (
     load_profile,
     load_scenario,
@@ -89,15 +93,89 @@ class TestLoadProfile:
             load_profile(path)
 
 
+class TestNumpyReaderFallback:
+    """Rows numpy's reader refuses (or might misread) go through the line loop."""
+
+    def test_plain_rows_skip_the_line_loop(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(profile_text(["0,1", "60,2.5", "120,-0.0"]), encoding="utf-8")
+        with mock.patch.object(profiles, "_parse_rows", side_effect=AssertionError):
+            profile = load_profile(path)
+        assert profile.t_s.tolist() == [0.0, 60.0, 120.0]
+        assert profile.power_w.tobytes() == np.array([1.0, 2.5, -0.0]).tobytes()
+
+    def test_late_bad_row_names_its_line(self, tmp_path):
+        rows = [f"{i},1" for i in range(100_000)]
+        rows[89_999] = "89999,x"  # line 1 is the header
+        path = tmp_path / "long.csv"
+        path.write_text(profile_text(rows), encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 90001: .*long.csv: could not"):
+            load_profile(path)
+
+    @pytest.mark.parametrize("rows", [[], ["0,1"]])
+    def test_too_few_rows_is_a_validation_error(self, tmp_path, rows):
+        # numpy warns on an empty body; no warning may escape, as the CLI
+        # would print it.
+        path = tmp_path / "short.csv"
+        path.write_text(profile_text(rows), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="needs at least 2 samples"):
+                load_profile(path)
+        assert caught == []
+
+    def test_three_fields_on_every_row(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(profile_text(["0,1,2", "60,1,2"]), encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 2: .*expected 2 fields, got 3$"):
+            load_profile(path)
+
+    @pytest.mark.parametrize("space", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_space_that_float_rejects(self, tmp_path, space):
+        # numpy's reader strips these around a number; float() does not.
+        path = tmp_path / "sep.csv"
+        path.write_text(profile_text(["0,1", f"60,{space}2"]), encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 3: .*could not convert"):
+            load_profile(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("power", ["2", "1_0"])
+    def test_pipe(self, power):
+        # A pipe cannot rewind for the separator check or the line loop.
+        read_fd, write_fd = os.pipe()
+        with open(write_fd, "w", encoding="utf-8") as writer:
+            writer.write(profile_text(["0,1", f"60,{power}"]))
+        try:
+            profile = load_profile(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+        assert profile.power_w.tolist() == [1.0, float(power)]
+
+    def test_underscore_and_blank_rows_accepted(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_text(profile_text(["0,1_0", "  ", "6_0,\u0661"]), encoding="utf-8")
+        profile = load_profile(path)
+        assert profile.t_s.tolist() == [0.0, 60.0]
+        assert profile.power_w.tolist() == [10.0, 1.0]
+
+
 # Spellings of a row's time that float() accepts.
-SPELLINGS = ("{}", " {} ", "\t{}", "+{}", "{}.0", "{}e0", "{}_0e-1", "0{}")
-BAD_TOKENS = ("", " ", "abc", "1..2", "0x10", "1,5", "\u0661x", "--1", "1e")
+SPELLINGS = (
+    "{}", " {} ", "\t{}", "+{}", "{}.0", "{}e0", "{}_0e-1", "0{}", "\xa0{}\xa0",
+)
+# Whitespace that float() strips but str.splitlines (the seed parser's line
+# split) breaks a line at, so only the numpy-against-loop test draws them.
+LINE_BREAK_SPACES = ("\x0c{}", "{}\x85", "\u2028{}", "\x1c{} ")
+POWERS = ("-1", "nan", "1e3", ".5", "5.", "1_0", "\u0661", "-0.0", "1e400", "Infinity")
+BAD_TOKENS = (
+    "", " ", "abc", "1..2", "0x10", "1,5", "\u0661x", "--1", "1e", "#", "#1", "1\x00",
+)
 BLANK_ROWS = ("", " ", "\t", "  \t ")
 WRONG_FIELDS = ("1", "1,2,3", ",", "1,2,", ",,")
 
 
 @st.composite
-def profile_texts(draw):
+def profile_texts(draw, spellings=SPELLINGS):
     """Profile text with mixed line ends, blank rows, spellings and bad rows."""
     header = draw(
         st.sampled_from(["t_s,power_w"] * 4 + [" t_s,power_w\t", "t_s;power_w", ""])
@@ -111,10 +189,10 @@ def profile_texts(draw):
                 st.one_of(
                     st.floats(0.0, 5000.0).map(repr),
                     st.floats(0.0, 5000.0).map(lambda v: f"{v:.3f}"),
-                    st.sampled_from(["-1", "nan", "1e3", ".5", "5.", "1_0", "\u0661"]),
+                    st.sampled_from(POWERS),
                 )
             )
-            rows.append(draw(st.sampled_from(SPELLINGS)).format(t) + "," + power)
+            rows.append(draw(st.sampled_from(spellings)).format(t) + "," + power)
         elif kind == "blank":
             rows.append(draw(st.sampled_from(BLANK_ROWS)))
         elif kind == "bad":
@@ -133,13 +211,14 @@ def profile_texts(draw):
     return text if draw(st.booleans()) else text[: -len(ends[-1])]
 
 
-def parse_outcome(parse, path):
-    """(name, times, powers) of a parsed profile, or (error type, message)."""
+def parse_outcome(parse, source):
+    """(name, bytes of times, bytes of powers) of a parsed profile, or
+    (error type, message). ``source()`` gives a path or a fresh stream."""
     try:
-        profile = parse(path)
+        profile = parse(source())
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc)
-    return profile.name, profile.t_s.tolist(), profile.power_w.tolist()
+    return profile.name, profile.t_s.tobytes(), profile.power_w.tobytes()
 
 
 class TestInvalidUtf8:
@@ -154,17 +233,37 @@ class TestInvalidUtf8:
             reader(path)
 
 
+def line_loop_only(source):
+    """load_profile with numpy's reader refusing every body."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
+        return load_profile(source)
+
+
 class TestStreamedParseMatchesSeed:
-    """The chunked parser gives the whole-text parser's arrays or its error."""
+    """load_profile gives the seed parser's arrays, bit for bit, or its error."""
 
     @settings(max_examples=300, deadline=None)
-    @given(profile_texts())
-    def test_same_arrays_or_same_error(self, text):
+    @given(profile_texts(), st.booleans())
+    def test_same_arrays_or_same_error(self, text, as_stream):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "generated.csv"
             path.write_bytes(text.encode("utf-8"))
-            expected = parse_outcome(reference_seed.load_profile, path)
-            assert parse_outcome(load_profile, path) == expected
+            # newline=None ends a stream's lines at CR too, as in a file.
+            stream = lambda: io.StringIO(text, newline=None)  # noqa: E731
+            source = stream if as_stream else (lambda: path)
+            expected = parse_outcome(reference_seed.load_profile, source)
+            assert parse_outcome(load_profile, source) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile_texts(SPELLINGS + LINE_BREAK_SPACES), st.booleans())
+    def test_numpy_reader_matches_the_line_loop(self, text, as_stream):
+        # A default StringIO keeps a bare CR inside its line, as the loop does.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "generated.csv"
+            path.write_bytes(text.encode("utf-8"))
+            source = (lambda: io.StringIO(text)) if as_stream else (lambda: path)
+            expected = parse_outcome(line_loop_only, source)
+            assert parse_outcome(load_profile, source) == expected
 
 
 class TestSampleProfile:

@@ -1,16 +1,17 @@
 """Interleaved A/B runs of perfbench: a parent commit against a change.
 
     python scripts/bench_ab.py PARENT_REF [--pairs 10] [--workload all]
-        [--seed 1] [--trace 0] [--seconds S] [--out FILE]
+        [--seed 1] [--trace 0] [--out FILE]
 
 The parent side is a fresh copy of the parent commit's files (``git
 archive``, which registers nothing in the repository); the change side is
 this checkout's working tree. Pair i runs ``perfbench/run.py`` on both
 sides, the parent first when i is even, and keeps the metrics of the JSON
-line each run prints last. The output is one JSON object: for every
-workload and metric, the raw values of both sides, their median, quartiles
-and IQR, how many pairs the change won and the change of the median in
-percent. Only the standard library is used.
+line each run prints last; every run lasts BENCHMARK.json's run_seconds.
+The output is one JSON object: for every workload and metric, the raw
+values of both sides, their median, quartiles and IQR, how many pairs the
+change won and the change of the median in percent. Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,11 +42,11 @@ def export(ref: str, dest: Path) -> Path:
 
 
 def bench(checkout: Path, args) -> dict:
-    """One perfbench run in ``checkout``; its last JSON line."""
+    """One perfbench run in ``checkout``: its last JSON line, and the
+    environment that the run recorded in its result files."""
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload]
     argv += ["--seed", str(args.seed), "--trace", str(args.trace)]
-    if args.seconds is not None:
-        argv += ["--seconds", str(args.seconds)]
+    started = time.time()
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"error: perfbench failed in {checkout}:\n{done.stderr}")
@@ -53,15 +55,17 @@ def bench(checkout: Path, args) -> dict:
         result["metrics"] = {
             f"{args.workload}/{name}": m for name, m in result["metrics"].items()
         }
-    return result
-
-
-def environment(checkout: Path, args) -> dict | None:
-    """The Python, numpy and CPU details perfbench recorded in ``checkout``."""
     results = checkout / ".perfbench" / "results"
-    for path in sorted(results.glob(f"*-seed{args.seed}-trace{args.trace}.json")):
-        return json.loads(path.read_text(encoding="utf-8"))["environment"]
-    return None
+    written = [
+        path
+        for path in results.glob(f"*-seed{args.seed}-trace{args.trace}.json")
+        if path.stat().st_mtime >= started
+    ]
+    if not written:
+        sys.exit(f"error: perfbench wrote no result file in {results}")
+    newest = max(written, key=lambda path: path.stat().st_mtime)
+    result["environment"] = json.loads(newest.read_text(encoding="utf-8"))["environment"]
+    return result
 
 
 def stats(values: list[float]) -> dict:
@@ -112,7 +116,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
     args = parser.parse_args(argv)
 
@@ -133,19 +136,16 @@ def main(argv=None) -> int:
                 ),
                 file=sys.stderr,
             )
-    env = environment(ROOT, args)
-
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     report = {
         "benchmark": (
             f"python3 perfbench/run.py --workload {args.workload} --trace {args.trace}"
-            f" --seed {args.seed}; {seconds:g} s per run"
+            f" --seed {args.seed}; {spec['run_seconds']:g} s per run"
         ),
         "method": (
             f"{args.pairs} interleaved pairs; pair i (0-based) ran the parent first"
             f" when i is even. parent: {args.parent}; change: the working tree"
         ),
-        "environment": env,
+        "environment": runs[-1]["change"]["environment"],
         "runs": [
             {
                 side: {k: run[side][k] for k in ("correct", "attempted", "failed")}

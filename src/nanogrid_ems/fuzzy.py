@@ -34,8 +34,8 @@ from .errors import EmptyAggregate
 AND = "and"
 OR = "or"
 
-# Aggregates whose integral falls below this share of the output width are a
-# rule-base coverage bug.
+# Aggregates whose sample sum falls below this share of the sample count (an
+# integral below this share of the output width) are a rule-base coverage bug.
 _EMPTY_INTEGRAL = 1e-12
 
 
@@ -193,7 +193,6 @@ class FuzzySystem:
 
         n = self.resolution
         self._dx = (self.output.hi - self.output.lo) / n
-        self._empty_integral = _EMPTY_INTEGRAL * (self.output.hi - self.output.lo)
         xs = self.output.lo + (np.arange(n, dtype=float) + 0.5) * self._dx
         self._xs = xs
         self._term_values = tuple(
@@ -259,7 +258,7 @@ class FuzzySystem:
             # A uniformly scaled term keeps its centroid; evaluating it on the
             # unscaled samples avoids spurious last-ulp drift.
             k = active[0]
-            if strengths[k] * self._term_masses[k] * self._dx < self._empty_integral:
+            if strengths[k] * self._term_masses[k] < _EMPTY_INTEGRAL * self.resolution:
                 raise EmptyAggregate(
                     f"aggregate of {self.name!r} integrates to ~0 at ({x1}, {x2})"
                 )
@@ -271,7 +270,7 @@ class FuzzySystem:
             np.maximum(aggregate, strengths[k] * values[k], out=aggregate)
 
         total = float(aggregate.sum())
-        if total * self._dx < self._empty_integral:
+        if total < _EMPTY_INTEGRAL * self.resolution:
             raise EmptyAggregate(
                 f"aggregate of {self.name!r} integrates to ~0 at ({x1}, {x2})"
             )

@@ -75,14 +75,19 @@ def _parse_rows(lines, display: str) -> tuple[list[float], list[float]]:
     return ts, values
 
 
-def _numpy_columns(fh) -> np.ndarray | None:
-    """The rows left in ``fh`` as a (2, n) array read by numpy's C reader, or
+def _numpy_columns(body: str) -> np.ndarray | None:
+    """The rows of ``body`` as a (2, n) array read by numpy's C reader, or
     None where it refuses them."""
     try:
         # An empty body warns; a warning refuses the rows like an error.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            # UTF-8 bytes: a StringIO of the body would hold 4 bytes a
+            # character. A lone surrogate fails to encode, a ValueError.
+            lines = io.BytesIO(body.encode())
+            table = np.loadtxt(
+                lines, delimiter=",", comments=None, ndmin=2, encoding="utf-8"
+            )
     except (ValueError, Warning):
         return None
     return table.T.copy() if table.shape[1] == 2 else None
@@ -91,25 +96,23 @@ def _numpy_columns(fh) -> np.ndarray | None:
 def load_profile(source) -> Profile:
     """Parse and validate a profile file (header ``t_s,power_w``) named by its stem.
 
-    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``. numpy's reader parses the
-    rows in one pass. Whenever it refuses them, ``_parse_rows`` parses the
-    same rows again: it accepts what numpy does not but float() does
-    (``1_0``, blank rows), and otherwise raises the error for the first bad
-    row.
+    A line of a file ends at ``\\n``, ``\\r\\n`` or ``\\r``; the text a stream
+    gives is split at ``\\n``. The text after the header is read whole, and
+    numpy's reader parses its rows in one pass. Whenever
+    it refuses them, ``_parse_rows`` parses the same rows again: it accepts
+    what numpy does not but float() does (``1_0``, blank rows), and otherwise
+    raises the error for the first bad row.
     """
     with _open_text(source) as (fh, display):
         if fh.readline().strip() != PROFILE_HEADER:
             raise ParseError(f"{display}: expected header {PROFILE_HEADER!r}", line=1)
-        if not fh.seekable():
-            fh = io.StringIO(fh.read())
-        start = fh.tell()
-        columns = _numpy_columns(fh)
-        fh.seek(start)
         body = fh.read()
-        # numpy's reader strips \x1c-\x1f around a number; float() does not.
-        if columns is None or any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
-            fh.seek(start)
-            columns = np.array(_parse_rows(fh, display))
+    columns = None
+    # numpy's reader strips \x1c-\x1f around a number; float() does not.
+    if not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        columns = _numpy_columns(body)
+    if columns is None:
+        columns = np.array(_parse_rows(io.StringIO(body), display))
     t_s, power_w = columns
     return Profile(Path(display).stem, t_s, power_w)
 

@@ -141,7 +141,7 @@ class TestNumpyReaderFallback:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("power", ["2", "1_0"])
     def test_pipe(self, power):
-        # A pipe cannot rewind for the separator check or the line loop.
+        # A pipe is read once; the line loop reparses the text it gave.
         read_fd, write_fd = os.pipe()
         with open(write_fd, "w", encoding="utf-8") as writer:
             writer.write(profile_text(["0,1", f"60,{power}"]))
@@ -150,6 +150,11 @@ class TestNumpyReaderFallback:
         finally:
             os.close(read_fd)
         assert profile.power_w.tolist() == [1.0, float(power)]
+
+    def test_lone_surrogate_in_a_stream(self):
+        # It does not encode for numpy's reader, and float() rejects it.
+        with pytest.raises(ParseError, match="^line 3: .*could not convert"):
+            load_profile(io.StringIO(profile_text(["0,1", "60,\ud800"])))
 
     def test_underscore_and_blank_rows_accepted(self, tmp_path):
         path = tmp_path / "loose.csv"
@@ -231,6 +236,16 @@ class TestInvalidUtf8:
         path.write_bytes(text.encode() + b"60,\xff\n")
         with pytest.raises(ParseError, match="latin1.txt: not valid UTF-8"):
             reader(path)
+
+    def test_invalid_byte_wins_over_an_earlier_bad_row(self, tmp_path):
+        # The body is decoded whole before a row is parsed, as in the seed
+        # parser, so a bad byte past line 100 000 beats a bad line 3.
+        path = tmp_path / "late.csv"
+        rows = [f"{i},1" for i in range(100_000)]
+        rows[1] = "1,x"
+        path.write_bytes(profile_text(rows).encode() + b"100000,\xff\n")
+        with pytest.raises(ParseError, match="late.csv: not valid UTF-8"):
+            load_profile(path)
 
 
 def line_loop_only(source):

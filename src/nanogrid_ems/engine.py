@@ -166,6 +166,12 @@ def run_scenario(scenario: Scenario, pv: Profile, load: Profile) -> Trace:
     n = _step_count(scenario.duration_s, dt_s)
     ts = np.arange(n, dtype=float) * dt_s
     pv_avail = pv.sample(ts, scenario.duration_s)
+    # A Python float product overflows to inf without numpy's warning.
+    if not math.isfinite(float(load.power_w.max()) * scenario.load_multiplier):
+        raise ValidationError(
+            f"load_multiplier = {scenario.load_multiplier!r} makes the load"
+            f" profile {load.name!r} overflow"
+        )
     load_w = load.sample(ts, scenario.duration_s) * scenario.load_multiplier
 
     p_pv, p_aux, p_bat, soc_pct, omega, d_plus, d_minus = np.empty((7, n))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
@@ -32,46 +32,33 @@ PROFILE_HEADER = "t_s,power_w"
 
 
 @contextmanager
-def _open_text(source):
-    """Yield (text stream, display name) for a path or file-like source.
+def _open_text(path):
+    """Yield (text file, display name) for a path.
 
-    Text that is not valid UTF-8 ends in a ParseError naming the source.
+    Text that is not valid UTF-8 ends in a ParseError naming the file.
     """
-    if hasattr(source, "read"):
-        stream, display = nullcontext(source), getattr(source, "name", "<stream>")
-    else:
-        stream, display = open(source, encoding="utf-8"), str(Path(source))
-    with stream as fh:
+    display = str(Path(path))
+    with open(path, encoding="utf-8") as fh:
         try:
             yield fh, display
         except UnicodeDecodeError as exc:
             raise ParseError(f"{display}: not valid UTF-8 ({exc.reason})") from None
 
 
-def _row_error(display: str, row: str, lineno: int) -> ParseError:
-    """The error for a profile row that failed to parse as two floats."""
-    parts = row.split(",")
-    if len(parts) != 2:
-        return ParseError(f"{display}: expected 2 fields, got {len(parts)}", lineno)
-    try:
-        float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        return ParseError(f"{display}: {exc}", lineno)
-    raise AssertionError(f"row {row!r} parsed after failing")
-
-
 def _parse_rows(lines, display: str) -> tuple[list[float], list[float]]:
     """What a profile row may hold: two fields that float() accepts, or blanks."""
     ts, values = [], []
     for lineno, line in enumerate(lines, start=2):
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != 2:
+            if line.isspace():
+                continue
+            raise ParseError(f"{display}: expected 2 fields, got {len(parts)}", lineno)
         try:
-            t, power = line.split(",")
-            ts.append(float(t))
-            values.append(float(power))
-        except ValueError:
-            # Blank rows are skipped; float() ignores the newline.
-            if not line.isspace():
-                raise _row_error(display, line.rstrip("\n"), lineno) from None
+            ts.append(float(parts[0]))
+            values.append(float(parts[1]))
+        except ValueError as exc:
+            raise ParseError(f"{display}: {exc}", lineno) from None
     return ts, values
 
 
@@ -82,8 +69,7 @@ def _numpy_columns(body: str) -> np.ndarray | None:
         # An empty body warns; a warning refuses the rows like an error.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # UTF-8 bytes: a StringIO of the body would hold 4 bytes a
-            # character. A lone surrogate fails to encode, a ValueError.
+            # UTF-8 bytes: a StringIO of the body would hold 4 bytes a character.
             lines = io.BytesIO(body.encode())
             table = np.loadtxt(
                 lines, delimiter=",", comments=None, ndmin=2, encoding="utf-8"
@@ -93,17 +79,16 @@ def _numpy_columns(body: str) -> np.ndarray | None:
     return table.T.copy() if table.shape[1] == 2 else None
 
 
-def load_profile(source) -> Profile:
+def load_profile(path) -> Profile:
     """Parse and validate a profile file (header ``t_s,power_w``) named by its stem.
 
-    A line of a file ends at ``\\n``, ``\\r\\n`` or ``\\r``; the text a stream
-    gives is split at ``\\n``. The text after the header is read whole, and
-    numpy's reader parses its rows in one pass. Whenever
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``. The text after the header
+    is read whole, and numpy's reader parses its rows in one pass. Whenever
     it refuses them, ``_parse_rows`` parses the same rows again: it accepts
     what numpy does not but float() does (``1_0``, blank rows), and otherwise
     raises the error for the first bad row.
     """
-    with _open_text(source) as (fh, display):
+    with _open_text(path) as (fh, display):
         if fh.readline().strip() != PROFILE_HEADER:
             raise ParseError(f"{display}: expected header {PROFILE_HEADER!r}", line=1)
         body = fh.read()
@@ -140,9 +125,9 @@ def _parse_float(pairs: dict[str, str], key: str) -> float:
         raise ValidationError(f"key {key!r} is not a number: {pairs[key]!r}") from None
 
 
-def parse_scenario(source) -> Scenario:
+def parse_scenario(path) -> Scenario:
     """Parse a flat key-value scenario config, filling defaults for omitted keys."""
-    with _open_text(source) as (fh, display):
+    with _open_text(path) as (fh, display):
         pairs = _parse_kv(fh.read(), display)
 
     settings = {f.name: f for f in fields(Scenario) if f.name != "params"}
@@ -191,9 +176,7 @@ def load_scenario(name_or_path) -> tuple[Scenario, Profile, Profile]:
     base = path.parent
 
     def _profile(ref: str) -> Profile:
-        ref_path = Path(ref)
-        if not ref_path.is_absolute():
-            ref_path = base / ref_path
+        ref_path = base / ref
         if not ref_path.exists():
             raise FileNotFoundError(f"profile file not found: {ref_path}")
         return load_profile(ref_path)

@@ -86,9 +86,9 @@ def _parse_rule(text: str) -> Rule:
     )
 
 
-def parse_fuzzy_systems(source) -> list[FuzzySystem]:
+def parse_fuzzy_systems(path) -> list[FuzzySystem]:
     """Inverse of render_fuzzy_systems."""
-    with _open_text(source) as (fh, display):
+    with _open_text(path) as (fh, display):
         pairs = _parse_kv(fh.read(), display)
     try:
         count = int(pairs["fis.count"])

@@ -81,7 +81,9 @@ def calibrated_shift_reference(system, bound, x1, x2, samples=FINE_SAMPLES):
 #
 # Verbatim copies of the package's original dict-and-numpy ``mf_eval``,
 # ``fuzzify``, sampling, ``term_centroid`` and ``infer``.  The compiled
-# ``FuzzySystem`` must agree with them to the bit.
+# ``FuzzySystem`` must agree with them to the bit.  Only the empty-aggregate
+# test differs from the original: like the package's, it compares the sample
+# sum with a share of the sample count, not the integral with an absolute floor.
 
 _EMPTY_INTEGRAL = 1e-12
 # (system, xs, term values, term centroids) of the last system sampled.
@@ -153,12 +155,11 @@ def infer_sampled_seed(system, x1, x2):
     active = [(t, s) for t, s in strengths.items() if s > 0.0]
     if not active:
         raise EmptyAggregate(f"no rule of {system.name!r} fired at ({x1}, {x2})")
-    dx = (system.output.hi - system.output.lo) / system.resolution
 
     if len(active) == 1:
         term, strength = active[0]
         values = term_values[term]
-        if strength * float(values.sum()) * dx < _EMPTY_INTEGRAL:
+        if strength * float(values.sum()) < _EMPTY_INTEGRAL * system.resolution:
             raise EmptyAggregate(
                 f"aggregate of {system.name!r} integrates to ~0 at ({x1}, {x2})"
             )
@@ -173,7 +174,7 @@ def infer_sampled_seed(system, x1, x2):
             np.maximum(aggregate, scaled, out=aggregate)
 
     total = float(aggregate.sum())
-    if total * dx < _EMPTY_INTEGRAL:
+    if total < _EMPTY_INTEGRAL * system.resolution:
         raise EmptyAggregate(
             f"aggregate of {system.name!r} integrates to ~0 at ({x1}, {x2})"
         )

@@ -207,6 +207,26 @@ def test_overflowing_energy_total_is_one_error_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_overflowing_load_multiplier_is_one_error_line(tmp_path, capsys):
+    # 2 W times the largest float overflowed in numpy's multiply, which
+    # printed a RuntimeWarning before the battery's error line.
+    write_profile(tmp_path / "pv.csv", ["0,0", "60,0"])
+    write_profile(tmp_path / "load.csv", ["0,2", "60,1"])
+    cfg = tmp_path / "scaled.cfg"
+    cfg.write_text(
+        "name = scaled\npv_profile = pv.csv\nload_profile = load.csv\n"
+        "load_multiplier = 1.7976931348623157e308\nsoc_init_pct = 0\nduration_s = 1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: load_multiplier = ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_file", ["tiny.cfg", "pv.csv"])
 def test_invalid_utf8_is_one_error_line(tiny_scenario, tmp_path, bad_file, capsys):
     path = tmp_path / bad_file

@@ -414,6 +414,18 @@ class TestCompiledMatchesSeed:
             x2 = data.draw(crisp_inputs(in2))
             assert_same_as_seed(system, x1, x2)
 
+    def test_threshold_scales_with_resolution(self):
+        # Sample sum 1.5 times this weight is 2.2e-12, under 1e-12 per sample
+        # at resolution 3, though the integral (1.44e-12) clears 1e-12.
+        a = LinguisticVariable("a", 0.0, 1.0, (("a0", triangular(0.0, 0.0, 1.0)),))
+        b = LinguisticVariable("b", 0.0, 1.0, (("b0", triangular(0.0, 0.0, 1.0)),))
+        out = LinguisticVariable("out", 0.0, 2.0, (("out0", triangular(0.0, 0.0, 2.0)),))
+        rule = Rule((("a", "a0"),), "out0", AND, 1.4432468027746886e-12)
+        system = FuzzySystem("thin", (a, b), out, (rule,), resolution=3)
+        with pytest.raises(EmptyAggregate, match="integrates to ~0"):
+            system.infer(0.0, 0.0)
+        assert_same_as_seed(system, 0.0, 0.0)
+
     @settings(max_examples=50, deadline=None)
     @given(general_systems())
     def test_term_centroids_bit_identical(self, system):

@@ -1,4 +1,3 @@
-import io
 import os
 import tempfile
 import warnings
@@ -37,40 +36,52 @@ def profile_text(rows):
     return "t_s,power_w\n" + "\n".join(rows) + "\n"
 
 
+@pytest.fixture
+def text_file(tmp_path):
+    """Write text to a file under ``tmp_path`` and give its path."""
+
+    def write(text):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    return write
+
+
 def sample_at(profile, t_s):
     """The profile's value at one time, sampled as a run of duration ``t_s`` does."""
     return float(profile.sample(np.array([t_s]), t_s)[0])
 
 
 class TestLoadProfile:
-    def test_two_rows(self):
-        profile = load_profile(io.StringIO(profile_text(["0,0", "3600,500"])))
+    def test_two_rows(self, text_file):
+        profile = load_profile(text_file(profile_text(["0,0", "3600,500"])))
         assert profile.t_s.tolist() == [0.0, 3600.0]
         assert profile.power_w.tolist() == [0.0, 500.0]
 
-    def test_out_of_order_times_rejected(self):
+    def test_out_of_order_times_rejected(self, text_file):
         with pytest.raises(ValidationError):
-            load_profile(io.StringIO(profile_text(["3600,500", "0,0"])))
+            load_profile(text_file(profile_text(["3600,500", "0,0"])))
 
-    def test_header_only_rejected(self):
+    def test_header_only_rejected(self, text_file):
         with pytest.raises(ValidationError):
-            load_profile(io.StringIO("t_s,power_w\n"))
+            load_profile(text_file("t_s,power_w\n"))
 
-    def test_wrong_header_rejected(self):
+    def test_wrong_header_rejected(self, text_file):
         with pytest.raises(ParseError):
-            load_profile(io.StringIO("time,watts\n0,0\n10,1\n"))
+            load_profile(text_file("time,watts\n0,0\n10,1\n"))
 
-    def test_bad_row_reports_line_number(self):
+    def test_bad_row_reports_line_number(self, text_file):
         with pytest.raises(ParseError, match="line 3"):
-            load_profile(io.StringIO(profile_text(["0,0", "60,1,2"])))
+            load_profile(text_file(profile_text(["0,0", "60,1,2"])))
 
-    def test_non_numeric_rejected(self):
+    def test_non_numeric_rejected(self, text_file):
         with pytest.raises(ParseError):
-            load_profile(io.StringIO(profile_text(["0,zero", "60,1"])))
+            load_profile(text_file(profile_text(["0,zero", "60,1"])))
 
-    def test_negative_power_rejected(self):
+    def test_negative_power_rejected(self, text_file):
         with pytest.raises(ValidationError):
-            load_profile(io.StringIO(profile_text(["0,-5", "60,1"])))
+            load_profile(text_file(profile_text(["0,-5", "60,1"])))
 
     @pytest.mark.parametrize(
         "rows",
@@ -81,9 +92,9 @@ class TestLoadProfile:
             ["-inf,0", "60,1"],
         ],
     )
-    def test_non_finite_values_rejected(self, rows):
+    def test_non_finite_values_rejected(self, text_file, rows):
         with pytest.raises(ValidationError, match="non-finite"):
-            load_profile(io.StringIO(profile_text(rows)))
+            load_profile(text_file(profile_text(rows)))
 
     @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
     def test_only_cr_and_lf_end_a_line(self, tmp_path, separator):
@@ -151,11 +162,6 @@ class TestNumpyReaderFallback:
             os.close(read_fd)
         assert profile.power_w.tolist() == [1.0, float(power)]
 
-    def test_lone_surrogate_in_a_stream(self):
-        # It does not encode for numpy's reader, and float() rejects it.
-        with pytest.raises(ParseError, match="^line 3: .*could not convert"):
-            load_profile(io.StringIO(profile_text(["0,1", "60,\ud800"])))
-
     def test_underscore_and_blank_rows_accepted(self, tmp_path):
         path = tmp_path / "loose.csv"
         path.write_text(profile_text(["0,1_0", "  ", "6_0,\u0661"]), encoding="utf-8")
@@ -216,11 +222,11 @@ def profile_texts(draw, spellings=SPELLINGS):
     return text if draw(st.booleans()) else text[: -len(ends[-1])]
 
 
-def parse_outcome(parse, source):
+def parse_outcome(parse, path):
     """(name, bytes of times, bytes of powers) of a parsed profile, or
-    (error type, message). ``source()`` gives a path or a fresh stream."""
+    (error type, message)."""
     try:
-        profile = parse(source())
+        profile = parse(path)
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc)
     return profile.name, profile.t_s.tobytes(), profile.power_w.tobytes()
@@ -247,38 +253,40 @@ class TestInvalidUtf8:
         with pytest.raises(ParseError, match="late.csv: not valid UTF-8"):
             load_profile(path)
 
+    def test_encoded_lone_surrogate(self, tmp_path):
+        # The three bytes that would encode U+D800; strict UTF-8 refuses them.
+        path = tmp_path / "surrogate.csv"
+        path.write_bytes(profile_text(["0,1"]).encode() + b"60,\xed\xa0\x80\n")
+        with pytest.raises(ParseError, match="surrogate.csv: not valid UTF-8"):
+            load_profile(path)
 
-def line_loop_only(source):
+
+def line_loop_only(path):
     """load_profile with numpy's reader refusing every body."""
     with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
-        return load_profile(source)
+        return load_profile(path)
 
 
 class TestStreamedParseMatchesSeed:
     """load_profile gives the seed parser's arrays, bit for bit, or its error."""
 
     @settings(max_examples=300, deadline=None)
-    @given(profile_texts(), st.booleans())
-    def test_same_arrays_or_same_error(self, text, as_stream):
+    @given(profile_texts())
+    def test_same_arrays_or_same_error(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "generated.csv"
             path.write_bytes(text.encode("utf-8"))
-            # newline=None ends a stream's lines at CR too, as in a file.
-            stream = lambda: io.StringIO(text, newline=None)  # noqa: E731
-            source = stream if as_stream else (lambda: path)
-            expected = parse_outcome(reference_seed.load_profile, source)
-            assert parse_outcome(load_profile, source) == expected
+            expected = parse_outcome(reference_seed.load_profile, path)
+            assert parse_outcome(load_profile, path) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(profile_texts(SPELLINGS + LINE_BREAK_SPACES), st.booleans())
-    def test_numpy_reader_matches_the_line_loop(self, text, as_stream):
-        # A default StringIO keeps a bare CR inside its line, as the loop does.
+    @given(profile_texts(SPELLINGS + LINE_BREAK_SPACES))
+    def test_numpy_reader_matches_the_line_loop(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "generated.csv"
             path.write_bytes(text.encode("utf-8"))
-            source = (lambda: io.StringIO(text)) if as_stream else (lambda: path)
-            expected = parse_outcome(line_loop_only, source)
-            assert parse_outcome(load_profile, source) == expected
+            expected = parse_outcome(line_loop_only, path)
+            assert parse_outcome(load_profile, path) == expected
 
 
 class TestSampleProfile:
@@ -312,48 +320,48 @@ class TestSampleProfile:
 class TestParseScenario:
     MINIMAL = "pv_profile = pv.csv\nload_profile = load.csv\nsoc_init_pct = 60\n"
 
-    def test_minimal_fills_defaults(self):
-        sc = parse_scenario(io.StringIO(self.MINIMAL))
+    def test_minimal_fills_defaults(self, text_file):
+        sc = parse_scenario(text_file(self.MINIMAL))
         assert sc.dt_s == 1.0
         assert sc.load_multiplier == 1.0
         assert sc.controller == "flc"
         assert sc.params == NanogridParams()
         assert sc.soc_init_pct == 60.0
 
-    def test_multiplier_four(self):
-        sc = parse_scenario(io.StringIO(self.MINIMAL + "load_multiplier = 4\n"))
+    def test_multiplier_four(self, text_file):
+        sc = parse_scenario(text_file(self.MINIMAL + "load_multiplier = 4\n"))
         assert sc.load_multiplier == 4.0
 
-    def test_unknown_controller_rejected(self):
+    def test_unknown_controller_rejected(self, text_file):
         with pytest.raises(ValidationError):
-            parse_scenario(io.StringIO(self.MINIMAL + "controller = pid\n"))
+            parse_scenario(text_file(self.MINIMAL + "controller = pid\n"))
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, text_file):
         with pytest.raises(ValidationError):
-            parse_scenario(io.StringIO(self.MINIMAL + "frequency = 50\n"))
+            parse_scenario(text_file(self.MINIMAL + "frequency = 50\n"))
 
-    def test_missing_required_key_rejected(self):
+    def test_missing_required_key_rejected(self, text_file):
         with pytest.raises(ValidationError):
-            parse_scenario(io.StringIO("pv_profile = pv.csv\n"))
+            parse_scenario(text_file("pv_profile = pv.csv\n"))
 
-    def test_param_override(self):
+    def test_param_override(self, text_file):
         sc = parse_scenario(
-            io.StringIO(self.MINIMAL + "params.p_aux_rating_w = 1500\n")
+            text_file(self.MINIMAL + "params.p_aux_rating_w = 1500\n")
         )
         assert sc.params.p_aux_rating_w == 1500.0
         assert sc.params.p_pv_rating_w == 2230.0
 
-    def test_duplicate_key_rejected(self):
+    def test_duplicate_key_rejected(self, text_file):
         with pytest.raises(ParseError):
-            parse_scenario(io.StringIO(self.MINIMAL + "soc_init_pct = 50\n"))
+            parse_scenario(text_file(self.MINIMAL + "soc_init_pct = 50\n"))
 
-    def test_comments_and_blanks_ignored(self):
+    def test_comments_and_blanks_ignored(self, text_file):
         text = "# comment\n\n" + self.MINIMAL
-        assert parse_scenario(io.StringIO(text)).soc_init_pct == 60.0
+        assert parse_scenario(text_file(text)).soc_init_pct == 60.0
 
 
 class TestScenarioRoundTrip:
-    def test_default_params(self):
+    def test_default_params(self, text_file):
         sc = Scenario(
             name="rt",
             params=NanogridParams(),
@@ -362,9 +370,9 @@ class TestScenarioRoundTrip:
             load_profile="load.csv",
             duration_s=1234.0,
         )
-        assert parse_scenario(io.StringIO(render_scenario(sc))) == sc
+        assert parse_scenario(text_file(render_scenario(sc))) == sc
 
-    def test_custom_params(self):
+    def test_custom_params(self, text_file):
         sc = Scenario(
             name="rt2",
             params=NanogridParams(m_pv_rad_s_per_w=1e-4, soc_max_pct=90.0),
@@ -376,7 +384,7 @@ class TestScenarioRoundTrip:
             dt_s=0.5,
             duration_s=999.5,
         )
-        assert parse_scenario(io.StringIO(render_scenario(sc))) == sc
+        assert parse_scenario(text_file(render_scenario(sc))) == sc
 
 
 class TestWriteOutputs:
@@ -484,11 +492,11 @@ class TestLoadScenario:
 
 
 class TestFuzzySystemDump:
-    def test_round_trip(self, params):
+    def test_round_trip(self, text_file, params):
         ems = FuzzyEms(params)
         systems = [ems.overcharge_guard, ems.depletion_guard]
         text = render_fuzzy_systems(systems)
-        assert parse_fuzzy_systems(io.StringIO(text)) == systems
+        assert parse_fuzzy_systems(text_file(text)) == systems
 
     def test_dump_structure(self, params):
         ems = FuzzyEms(params)
@@ -497,7 +505,7 @@ class TestFuzzySystemDump:
         assert text.count(".term.") == 2 * 3 * 3
         assert "fis.count = 2" in text
 
-    def test_truncated_rule_clause_rejected(self, params):
+    def test_truncated_rule_clause_rejected(self, text_file, params):
         ems = FuzzyEms(params)
         text = render_fuzzy_systems([ems.overcharge_guard, ems.depletion_guard])
         broken = text.replace(
@@ -506,8 +514,8 @@ class TestFuzzySystemDump:
             1,
         )
         with pytest.raises(ValidationError):
-            parse_fuzzy_systems(io.StringIO(broken))
+            parse_fuzzy_systems(text_file(broken))
 
-    def test_missing_keys_rejected(self):
+    def test_missing_keys_rejected(self, text_file):
         with pytest.raises(ValidationError):
-            parse_fuzzy_systems(io.StringIO("fis.count = 1\n"))
+            parse_fuzzy_systems(text_file("fis.count = 1\n"))

@@ -16,10 +16,6 @@ from .errors import ValidationError
 from .fuzzy import FuzzySystem, LinguisticVariable, Rule, triangular
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 def require_finite(config) -> None:
     """Reject a dataclass whose float fields include a NaN or an infinity."""
     for f in fields(config):
@@ -93,28 +89,41 @@ class NanogridParams:
         return self.c_bat_ah * self.v_bat_v
 
 
-def normalize_soc_high(soc_pct: float, params: NanogridParams) -> float:
-    """Normalized SOC headroom below the maximum limit, clamped to [0, 1]."""
-    span = params.soc_max_pct - params.soc_min_pct
-    return _clamp01((params.soc_max_pct - soc_pct) / span)
+def _margins(params: NanogridParams):
+    """``margins(soc_pct, p_bat_w)`` giving the four normalized margins.
 
+    They are ``(soc headroom below the maximum, charging-power reserve,
+    soc margin above the minimum, discharging-power reserve)``, each
+    clamped to [0, 1]; ``p_bat_w`` > 0 is charging.  Spans and limits are
+    read from ``params`` once.
+    """
+    soc_max, soc_min = params.soc_max_pct, params.soc_min_pct
+    high_span = soc_max - soc_min
+    low_span = params.soc_min_plus10_pct - soc_min
+    charge_max, discharge_max = params.p_charge_max_w, params.p_discharge_max_w
 
-def normalize_charge(p_charge_w: float, params: NanogridParams) -> float:
-    """Normalized charging-power reserve, clamped to [0, 1]."""
-    return _clamp01((params.p_charge_max_w - p_charge_w) / params.p_charge_max_w)
+    def margins(soc_pct: float, p_bat_w: float) -> tuple[float, float, float, float]:
+        # max(p_bat_w, 0.0) and max(-p_bat_w, 0.0), then min(1.0, max(0.0, x))
+        # of each margin, with the builtins' comparisons written out.
+        charge = 0.0 if p_bat_w < 0.0 else p_bat_w
+        discharge = -p_bat_w
+        discharge = 0.0 if discharge < 0.0 else discharge
+        high = (soc_max - soc_pct) / high_span
+        high = high if high > 0.0 else 0.0
+        charge = (charge_max - charge) / charge_max
+        charge = charge if charge > 0.0 else 0.0
+        low = (soc_pct - soc_min) / low_span
+        low = low if low > 0.0 else 0.0
+        discharge = (discharge_max - discharge) / discharge_max
+        discharge = discharge if discharge > 0.0 else 0.0
+        return (
+            high if high < 1.0 else 1.0,
+            charge if charge < 1.0 else 1.0,
+            low if low < 1.0 else 1.0,
+            discharge if discharge < 1.0 else 1.0,
+        )
 
-
-def normalize_soc_low(soc_pct: float, params: NanogridParams) -> float:
-    """Normalized SOC margin above the minimum limit, clamped to [0, 1]."""
-    span = params.soc_min_plus10_pct - params.soc_min_pct
-    return _clamp01((soc_pct - params.soc_min_pct) / span)
-
-
-def normalize_discharge(p_discharge_w: float, params: NanogridParams) -> float:
-    """Normalized discharging-power reserve, clamped to [0, 1]."""
-    return _clamp01(
-        (params.p_discharge_max_w - p_discharge_w) / params.p_discharge_max_w
-    )
+    return margins
 
 
 # Shared 3-term partition for both normalized inputs.
@@ -163,10 +172,24 @@ def build_guard_system(name: str, span: float) -> FuzzySystem:
     return FuzzySystem(name, (soc_margin, power_margin), output, rules)
 
 
-def _calibration(system: FuzzySystem, bound: float) -> tuple[float, float, float]:
-    """(zero centroid, large - zero centroid span, shift bound) of one guard."""
+def _calibration(
+    system: FuzzySystem, name: str, bound: float
+) -> tuple[float, float, float]:
+    """(zero centroid, large - zero centroid span, shift bound) of one guard.
+
+    ``name`` is the bound's, for the error raised when the sampled
+    centroids of a guard of that width overflow or collapse.
+    """
     c0 = system.term_centroid("zero")
-    return c0, system.term_centroid("large") - c0, bound
+    c1 = system.term_centroid("large")
+    span = c1 - c0
+    if not (math.isfinite(c0) and math.isfinite(c1) and 0.0 < span < math.inf):
+        raise ValidationError(
+            f"{name} = {bound!r} gives {system.name} a zero centroid of {c0!r}"
+            f" and a large centroid of {c1!r}; both must be finite, the large"
+            " one the larger"
+        )
+    return c0, span, bound
 
 
 class FuzzyEms:
@@ -186,32 +209,35 @@ class FuzzyEms:
         self.depletion_guard = build_guard_system(
             "depletion_guard", params.d_omega_minus_max
         )
-        self._plus_cal = _calibration(self.overcharge_guard, params.d_omega_plus_max)
-        self._minus_cal = _calibration(self.depletion_guard, params.d_omega_minus_max)
+        self._plus_cal = _calibration(
+            self.overcharge_guard, "d_omega_plus_max", params.d_omega_plus_max
+        )
+        self._minus_cal = _calibration(
+            self.depletion_guard, "d_omega_minus_max", params.d_omega_minus_max
+        )
+        self._margins = _margins(params)
 
+    # Each shift clamps with min(1.0, max(0.0, x))'s comparisons written out.
     def shift_plus(self, d_soc_high: float, d_charge: float) -> float:
         """Upward shift in [0, d_omega_plus_max] driving PV curtailment."""
         c0, span, bound = self._plus_cal
-        raw = self.overcharge_guard.infer(d_soc_high, d_charge)
-        return bound * _clamp01((raw - c0) / span)
+        x = (self.overcharge_guard.infer(d_soc_high, d_charge) - c0) / span
+        x = x if x > 0.0 else 0.0
+        return bound * (x if x < 1.0 else 1.0)
 
     def shift_minus(self, d_soc_low: float, d_discharge: float) -> float:
         """Downward shift in [-d_omega_minus_max, 0] driving auxiliary dispatch."""
         c0, span, bound = self._minus_cal
-        raw = self.depletion_guard.infer(d_soc_low, d_discharge)
-        return -(bound * _clamp01((raw - c0) / span))
+        x = (self.depletion_guard.infer(d_soc_low, d_discharge) - c0) / span
+        x = x if x > 0.0 else 0.0
+        return -(bound * (x if x < 1.0 else 1.0))
 
     def step(self, soc_pct: float, p_bat_w: float) -> tuple[float, float, float]:
         """``(d_omega_plus, d_omega_minus, omega_cmd)``; p_bat_w > 0 is charging."""
-        p = self.params
-        plus = self.shift_plus(
-            normalize_soc_high(soc_pct, p), normalize_charge(max(p_bat_w, 0.0), p)
-        )
-        minus = self.shift_minus(
-            normalize_soc_low(soc_pct, p),
-            normalize_discharge(max(-p_bat_w, 0.0), p),
-        )
-        return plus, minus, p.omega_nom_rad_s + plus + minus
+        high, charge, low, discharge = self._margins(soc_pct, p_bat_w)
+        plus = self.shift_plus(high, charge)
+        minus = self.shift_minus(low, discharge)
+        return plus, minus, self.params.omega_nom_rad_s + plus + minus
 
 
 class ProportionalEms:
@@ -226,13 +252,14 @@ class ProportionalEms:
         self._plus_max = params.d_omega_plus_max
         # Negation is exact, so negating once equals negating every step.
         self._minus_max = -params.d_omega_minus_max
+        self._margins = _margins(params)
 
     def step(self, soc_pct: float, p_bat_w: float) -> tuple[float, float, float]:
         """``(d_omega_plus, d_omega_minus, omega_cmd)``, as ``FuzzyEms.step``."""
-        p = self.params
-        plus = self._plus_max * (1.0 - normalize_soc_high(soc_pct, p))
-        minus = self._minus_max * (1.0 - normalize_soc_low(soc_pct, p))
-        return plus, minus, p.omega_nom_rad_s + plus + minus
+        high, _, low, _ = self._margins(soc_pct, p_bat_w)
+        plus = self._plus_max * (1.0 - high)
+        minus = self._minus_max * (1.0 - low)
+        return plus, minus, self.params.omega_nom_rad_s + plus + minus
 
 
 _CONTROLLERS = {"flc": FuzzyEms, "proportional": ProportionalEms}

@@ -8,13 +8,14 @@ output is the centroid of the aggregate, integrated by the midpoint
 rule over a fixed number of uniform samples of the output universe, so
 identical inputs always produce bit-identical outputs.
 
-``FuzzySystem`` compiles its tables once, at construction: every rule
-becomes a tuple of clause indices, output-term index, weight and AND/OR
-flag; every input membership function becomes its four corners, read
-with exactly the arithmetic of ``mf_eval``; and every output term's
-samples, sample mass and centroid are cached.  ``infer`` then only fills
-a list of rule strengths.  When a single output term fires it returns
-that term's cached centroid; otherwise it sums the sampled aggregate.
+``FuzzySystem`` compiles its rule base once, at construction, into one
+straight-line Python function from the two crisp inputs to the strength
+of every output term: each input term's degree with exactly the
+arithmetic of ``mf_eval``, then each rule's activation, weight and
+max-aggregation in rule order.  Every output term's samples, sample mass
+and centroid are cached too.  When a single output term fires, ``infer``
+returns that term's cached centroid; otherwise it sums the sampled
+aggregate.
 
 The midpoint sums stay although the aggregate is piecewise linear and
 has a closed-form centroid: that form differs from the sampled sums in
@@ -166,30 +167,36 @@ class FuzzySystem:
         self._compile()
 
     def _compile(self):
-        in1, in2 = self.inputs
-        # Degrees of both inputs' terms live in one flat list, in1's first.
-        self._input_corners = (
-            tuple(mf.corners for _, mf in in1.terms),
-            tuple(mf.corners for _, mf in in2.terms),
-        )
-        offset = {in1.name: 0, in2.name: len(in1.terms)}
-        clause_index = {
-            (var.name, term): offset[var.name] + i
-            for var in self.inputs
-            for i, term in enumerate(var.term_names())
-        }
-        out_index = {term: k for k, term in enumerate(self.output.term_names())}
-        # A one-clause rule reads its clause twice: min(a, a) == max(a, a) == a.
-        self._rule_table = tuple(
-            (
-                clause_index[rule.antecedent[0]],
-                clause_index[rule.antecedent[-1]],
-                out_index[rule.consequent],
-                rule.weight,
-                rule.connective == AND,
-            )
-            for rule in self.rules
-        )
+        # The strengths function: mf_eval of every input term, then every rule
+        # in order.  Only float literals and indices enter its source.
+        lines = ["def strengths(x1, x2):"]
+        clause_index = {}
+        for x, var in zip(("x1", "x2"), self.inputs):
+            for term, mf in var.terms:
+                i = clause_index[var.name, term] = len(clause_index)
+                left, top_lo, top_hi, right = (repr(float(c)) for c in mf.corners)
+                lines.append(
+                    f" d{i} = 0.0 if {x} < {left} or {x} > {right}"
+                    f" else 1.0 if {top_lo} <= {x} <= {top_hi}"
+                    f" else ({x} - {left}) / ({top_lo} - {left}) if {x} < {top_lo}"
+                    f" else ({right} - {x}) / ({right} - {top_hi})"
+                )
+        out_terms = self.output.term_names()
+        lines += [f" s{k} = 0.0" for k in range(len(out_terms))]
+        for rule in self.rules:
+            # A one-clause rule reads its clause twice: min(a, a) == max(a, a) == a.
+            a = clause_index[rule.antecedent[0]]
+            b = clause_index[rule.antecedent[-1]]
+            k = out_terms.index(rule.consequent)
+            # The comparison of the builtin min(a, b) or max(a, b).
+            op = "<" if rule.connective == AND else ">"
+            weight = repr(float(rule.weight))
+            lines.append(f" f = {weight} * (d{b} if d{b} {op} d{a} else d{a})")
+            lines.append(f" if f > s{k}: s{k} = f")
+        lines.append(f" return [{', '.join(f's{k}' for k in range(len(out_terms)))}]")
+        namespace = {}
+        exec("\n".join(lines), namespace)
+        self._strengths = namespace["strengths"]
 
         n = self.resolution
         self._dx = (self.output.hi - self.output.lo) / n
@@ -199,10 +206,13 @@ class FuzzySystem:
             np.array([mf_eval(mf, float(x)) for x in xs]) for _, mf in self.output.terms
         )
         self._term_masses = tuple(float(values.sum()) for values in self._term_values)
-        self._term_centroids = tuple(
-            float(np.dot(xs, values) / mass) if mass > 0.0 else None
-            for values, mass in zip(self._term_values, self._term_masses)
-        )
+        # A universe near the float range overflows the sums; the centroid is
+        # then inf or nan, for the caller to reject, rather than a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._term_centroids = tuple(
+                float(np.dot(xs, values) / mass) if mass > 0.0 else None
+                for values, mass in zip(self._term_values, self._term_masses)
+            )
 
     def term_centroid(self, term: str) -> float:
         """Centroid of one output term alone, on the same sample grid as infer."""
@@ -226,30 +236,7 @@ class FuzzySystem:
         Raises EmptyAggregate when no rule fires, which is unreachable for
         a rule base covering the whole input grid.
         """
-        corners1, corners2 = self._input_corners
-        # mf_eval inlined, term by term: in1's degrees, then in2's.
-        degrees = [
-            0.0 if x < left or x > right
-            else 1.0 if top_lo <= x <= top_hi
-            else (x - left) / (top_lo - left) if x < top_lo
-            else (right - x) / (right - top_hi)
-            for x, corners in ((x1, corners1), (x2, corners2))
-            for left, top_lo, top_hi, right in corners
-        ]
-
-        strengths = [0.0] * len(self._term_values)
-        for i, j, k, weight, is_and in self._rule_table:
-            a = degrees[i]
-            b = degrees[j]
-            # The comparisons of the builtin min(a, b) and max(a, b).
-            if is_and:
-                activation = b if b < a else a
-            else:
-                activation = b if b > a else a
-            fired = weight * activation
-            if fired > strengths[k]:
-                strengths[k] = fired
-
+        strengths = self._strengths(x1, x2)
         active = [k for k, strength in enumerate(strengths) if strength > 0.0]
         if not active:
             raise EmptyAggregate(f"no rule of {self.name!r} fired at ({x1}, {x2})")

@@ -12,13 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from nanogrid_ems.cli import main
-from nanogrid_ems.controller import (
-    NanogridParams,
-    normalize_charge,
-    normalize_discharge,
-    normalize_soc_high,
-    normalize_soc_low,
-)
+from nanogrid_ems.controller import NanogridParams, _margins
 from nanogrid_ems.engine import run_scenario, summarize
 from nanogrid_ems.fuzzy import FuzzySystem, LinguisticVariable, Rule, trapezoidal, triangular
 from nanogrid_ems.model import aux_power, pv_power
@@ -123,22 +117,24 @@ def test_a5_baseline_comparison(stress_compare):
 
 def test_a6_normalization_equations_exact(params):
     with criterion("A6", "state normalizations match hand values to 1e-12"):
+        margins = _margins(params)
+        # (margin index, soc_pct, p_bat_w > 0 charging, expected)
         cases = [
-            (normalize_soc_high, 95.0, 0.0),
-            (normalize_soc_high, 40.0, 1.0),
-            (normalize_soc_high, 94.9, 0.1 / 55.0),
-            (normalize_charge, 1000.0, 0.0),
-            (normalize_charge, 0.0, 1.0),
-            (normalize_charge, 250.0, 0.75),
-            (normalize_soc_low, 40.0, 0.0),
-            (normalize_soc_low, 50.0, 1.0),
-            (normalize_soc_low, 95.0, 1.0),
-            (normalize_discharge, 1000.0, 0.0),
-            (normalize_discharge, 0.0, 1.0),
-            (normalize_discharge, 600.0, 0.4),
+            (0, 95.0, 0.0, 0.0),
+            (0, 40.0, 0.0, 1.0),
+            (0, 94.9, 0.0, 0.1 / 55.0),
+            (1, 60.0, 1000.0, 0.0),
+            (1, 60.0, 0.0, 1.0),
+            (1, 60.0, 250.0, 0.75),
+            (2, 40.0, 0.0, 0.0),
+            (2, 50.0, 0.0, 1.0),
+            (2, 95.0, 0.0, 1.0),
+            (3, 60.0, -1000.0, 0.0),
+            (3, 60.0, -0.0, 1.0),
+            (3, 60.0, -600.0, 0.4),
         ]
-        for fn, value, expected in cases:
-            assert abs(fn(value, params) - expected) <= 1e-12
+        for index, soc_pct, p_bat_w, expected in cases:
+            assert abs(margins(soc_pct, p_bat_w)[index] - expected) <= 1e-12
 
 
 def test_a7_droop_saturation_exact(params):

@@ -133,6 +133,16 @@ def test_non_finite_config_value_is_one_error_line(
         ("params.v_bat_v = 1e-300", "dt_s = 1.0 lets one step"),
         ("params.soc_max_pct = 1e300", "SOC thresholds"),
         ("params.soc_min_pct = -5", "SOC thresholds"),
+        # Bounds below omega_nom whose guards' sampled centroid sums overflow:
+        # the run exited 0 with a constant shift of 0 and no curtailment.
+        (
+            "params.omega_nom_rad_s = 1e308\nparams.m_pv_rad_s_per_w = 1e303",
+            "d_omega_plus_max = 2.23e+306 gives overcharge_guard",
+        ),
+        (
+            "params.omega_nom_rad_s = 1e308\nparams.m_aux_rad_s_per_w = 2e303",
+            "d_omega_minus_max = 2e+306 gives depletion_guard",
+        ),
     ],
 )
 def test_extreme_plant_value_is_one_error_line(tmp_path, line, reason, capsys):

@@ -9,11 +9,8 @@ from nanogrid_ems.controller import (
     FuzzyEms,
     NanogridParams,
     ProportionalEms,
+    _margins,
     make_controller,
-    normalize_charge,
-    normalize_discharge,
-    normalize_soc_high,
-    normalize_soc_low,
 )
 from nanogrid_ems.errors import ValidationError
 
@@ -73,34 +70,38 @@ class TestParams:
 
 
 class TestNormalizations:
-    """Hand-computed values, exact to 1e-12."""
+    """Hand-computed values of the four margins, exact to 1e-12."""
 
     def test_soc_high(self, params):
-        assert normalize_soc_high(95.0, params) == pytest.approx(0.0, abs=1e-12)
-        assert normalize_soc_high(40.0, params) == pytest.approx(1.0, abs=1e-12)
-        assert normalize_soc_high(94.9, params) == pytest.approx(0.1 / 55.0, abs=1e-12)
+        margins = _margins(params)
+        assert margins(95.0, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
+        assert margins(40.0, 0.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert margins(94.9, 0.0)[0] == pytest.approx(0.1 / 55.0, abs=1e-12)
 
     def test_charge(self, params):
-        assert normalize_charge(1000.0, params) == pytest.approx(0.0, abs=1e-12)
-        assert normalize_charge(0.0, params) == pytest.approx(1.0, abs=1e-12)
-        assert normalize_charge(250.0, params) == pytest.approx(0.75, abs=1e-12)
+        margins = _margins(params)
+        assert margins(60.0, 1000.0)[1] == pytest.approx(0.0, abs=1e-12)
+        assert margins(60.0, 0.0)[1] == pytest.approx(1.0, abs=1e-12)
+        assert margins(60.0, 250.0)[1] == pytest.approx(0.75, abs=1e-12)
 
     def test_soc_low(self, params):
-        assert normalize_soc_low(40.0, params) == pytest.approx(0.0, abs=1e-12)
-        assert normalize_soc_low(50.0, params) == pytest.approx(1.0, abs=1e-12)
+        margins = _margins(params)
+        assert margins(40.0, 0.0)[2] == pytest.approx(0.0, abs=1e-12)
+        assert margins(50.0, 0.0)[2] == pytest.approx(1.0, abs=1e-12)
         # raw value 5.5 clamps to the universe edge
-        assert normalize_soc_low(95.0, params) == 1.0
+        assert margins(95.0, 0.0)[2] == 1.0
 
     def test_discharge(self, params):
-        assert normalize_discharge(1000.0, params) == pytest.approx(0.0, abs=1e-12)
-        assert normalize_discharge(0.0, params) == pytest.approx(1.0, abs=1e-12)
-        assert normalize_discharge(600.0, params) == pytest.approx(0.4, abs=1e-12)
+        margins = _margins(params)
+        assert margins(60.0, -1000.0)[3] == pytest.approx(0.0, abs=1e-12)
+        assert margins(60.0, -0.0)[3] == pytest.approx(1.0, abs=1e-12)
+        assert margins(60.0, -600.0)[3] == pytest.approx(0.4, abs=1e-12)
 
     @given(st.floats(min_value=0, max_value=100))
     def test_outputs_clamped(self, soc):
-        params = NanogridParams()
-        for fn in (normalize_soc_high, normalize_soc_low):
-            assert 0.0 <= fn(soc, params) <= 1.0
+        high, _, low, _ = _margins(NanogridParams())(soc, 0.0)
+        for margin in (high, low):
+            assert 0.0 <= margin <= 1.0
 
 
 class TestFuzzyShifts:

@@ -335,10 +335,20 @@ def _random_case(rng):
 # -- the compiled rule base against the original sampled inference ----------
 
 
+def reals(lo, hi):
+    """Floats in [lo, hi], -0.0 among them when 0 is, each drawn either as a
+    Python float or as an np.float64 scalar: the compiled rule base must read
+    both as the same literal."""
+    values = st.floats(lo, hi)
+    if lo <= 0.0 <= hi:
+        values = st.one_of(values, st.just(-0.0))
+    return st.one_of(values, values.map(np.float64))
+
+
 @st.composite
 def membership_functions(draw, lo, hi):
     """Triangles and trapezoids, with or without a shoulder, inside [lo, hi]."""
-    points = sorted(draw(st.lists(st.floats(lo, hi), min_size=3, max_size=4)))
+    points = sorted(draw(st.lists(reals(lo, hi), min_size=3, max_size=4)))
     shoulder = draw(st.sampled_from(["none", "left", "right"]))
     if shoulder == "left":
         points[1] = points[0]
@@ -374,7 +384,7 @@ def general_systems(draw):
             antecedent=tuple(clause() for _ in range(draw(st.integers(1, 2)))),
             consequent=draw(st.sampled_from(output.term_names())),
             connective=draw(st.sampled_from([AND, OR])),
-            weight=draw(st.floats(0.0, 1.0)),
+            weight=draw(reals(0.0, 1.0)),
         )
         for _ in range(draw(st.integers(1, 9)))
     )

@@ -1,0 +1,132 @@
+"""Lines of ``src/`` that the command line never executes.
+
+    python scripts/reach.py
+
+Runs ``python -m nanogrid_ems`` in-process under the standard library's
+``trace`` module: ``run`` on every bundled scenario under each controller,
+through copies of the configs cut to ``duration_s = 600``; ``compare`` on
+one of those copies; ``run`` on a 60 s scenario that clamps the SOC;
+``dump-fis``; and ``run`` on a missing scenario. The package is imported
+under the tracer, so its module-level lines count. The script then prints
+every line of ``src/nanogrid_ems`` that holds code, never ran and is not
+part of a ``raise`` statement, as ``path:line: text``, and exits 1 if a
+command did not end with the status expected of it. Only the standard
+library is used.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import runpy
+import sys
+import tempfile
+import trace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "nanogrid_ems"
+DURATION_S = 600
+# The marker trace.CoverageResults writes before a line that never ran.
+MISSING = ">>>>>> "
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """``python -m nanogrid_ems ARGV`` in this process: (status, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    saved, sys.argv = sys.argv, ["nanogrid_ems", *argv]
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            runpy.run_module("nanogrid_ems", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        return exc.code, stderr.getvalue()
+    finally:
+        sys.argv = saved
+    raise RuntimeError("nanogrid_ems did not exit")
+
+
+def exercise(work: Path) -> list[str]:
+    """Run every command once; return a message for each unexpected status."""
+    from nanogrid_ems.controller import CONTROLLER_KINDS
+    from nanogrid_ems.profiles import data_dir
+
+    out = str(work / "out")
+    commands = []
+    for bundled in sorted(data_dir().glob("*.cfg")):
+        lines = []
+        for line in bundled.read_text(encoding="utf-8").splitlines():
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in ("pv_profile", "load_profile"):
+                line = f"{key} = {data_dir() / value}"
+            elif key == "duration_s":
+                line = f"{key} = {DURATION_S}"
+            lines.append(line)
+        cfg = work / bundled.name
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for kind in CONTROLLER_KINDS:
+            commands.append((["run", str(cfg), "--out", out, "--controller", kind], 0))
+    commands.append((["compare", str(cfg), "--out", out], 0))
+    # No bundled scenario clamps the SOC in its first 600 s, and no bundled
+    # config holds a comment; this config does both.
+    (work / "zero.csv").write_text("t_s,power_w\n0,0\n60,0\n", encoding="utf-8")
+    (work / "load.csv").write_text("t_s,power_w\n0,1500\n60,1500\n", encoding="utf-8")
+    clamp = work / "clamp.cfg"
+    clamp.write_text(
+        "# An empty battery under a load the turbine cannot carry\n"
+        "pv_profile = zero.csv\nload_profile = load.csv\n"
+        "soc_init_pct = 0\nduration_s = 60\n",
+        encoding="utf-8",
+    )
+    commands.append((["run", str(clamp), "--out", out], 0))
+    commands.append((["dump-fis", "--out", str(work / "out" / "fis.cfg")], 0))
+    commands.append((["run", str(work / "missing.cfg"), "--out", out], 1))
+
+    failures = []
+    for argv, expected in commands:
+        status, stderr = _run(argv)
+        if status != expected:
+            failures.append(f"{' '.join(argv)}: exit {status}: {stderr}")
+    return failures
+
+
+def raise_lines(path: Path) -> set[int]:
+    """Every line of every ``raise`` statement in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        for lineno in range(node.lineno, node.end_lineno + 1)
+    }
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    tracer = trace.Trace(count=1, trace=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        failures = tracer.runfunc(exercise, work)
+        coverdir = work / "cover"
+        tracer.results().write_results(
+            show_missing=True, summary=False, coverdir=str(coverdir)
+        )
+        for path in sorted(PACKAGE.glob("*.py")):
+            cover = coverdir / f"nanogrid_ems.{path.stem}.cover"
+            if not cover.exists():
+                failures.append(f"{path.name} was never imported")
+                continue
+            raised = raise_lines(path)
+            marked = cover.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(marked, start=1):
+                if line.startswith(MISSING) and lineno not in raised:
+                    text = line[len(MISSING):].strip()
+                    print(f"{path.relative_to(SRC)}:{lineno}: {text}")
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

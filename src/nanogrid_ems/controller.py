@@ -267,6 +267,4 @@ CONTROLLER_KINDS = tuple(_CONTROLLERS)
 
 
 def make_controller(kind: str, params: NanogridParams):
-    if kind not in _CONTROLLERS:
-        raise ValidationError(f"unknown controller kind {kind!r}")
     return _CONTROLLERS[kind](params)

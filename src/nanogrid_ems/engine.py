@@ -19,7 +19,7 @@ from .controller import (
     make_controller,
     require_finite,
 )
-from .errors import EmptyTrace, ProfileOutOfRange, ValidationError
+from .errors import ProfileOutOfRange, ValidationError
 from .model import SLACK_LIMIT_FACTOR, battery_soc_update, grid_step
 
 # Limit excursions are tolerated up to 5% of the limit for at most this many
@@ -155,7 +155,7 @@ SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryMetrics))
 
 def _step_count(duration_s: float, dt_s: float) -> int:
     # Steps at t = 0, dt, ... strictly below duration; the epsilon guards
-    # divisions like 1.0/0.1 that land a hair above an integer.
+    # divisions like 2.1/0.3 (7.000000000000001) that land a hair above an integer.
     return int(math.ceil(duration_s / dt_s - 1e-9))
 
 
@@ -206,18 +206,23 @@ def _count_episodes(flags: np.ndarray) -> int:
     return int(np.count_nonzero(run_lengths > VIOLATION_MAX_RUN))
 
 
+def _sum_in_order(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, rounded after each addition, as
+    Python 3.11's ``sum`` adds floats; the energy totals are pinned to it."""
+    # cumsum adds in order, unlike numpy's pairwise sum and Python 3.12's
+    # compensated sum. An overflow gives inf, for require_finite to reject.
+    # The last + 0.0 is the start value: an all -0.0 total becomes 0.0.
+    with np.errstate(over="ignore"):
+        return float(np.cumsum(values)[-1]) + 0.0
+
+
 def summarize(trace: Trace, params: NanogridParams, dt_s: float) -> SummaryMetrics:
-    """Pure aggregation of one trace; idempotent."""
-    if not len(trace):
-        raise EmptyTrace("cannot summarize an empty trace")
+    """Pure aggregation of one trace of at least one step; idempotent."""
     hours = dt_s / 3600.0
     charge_band = (1.0 + VIOLATION_BAND_FRACTION) * params.p_charge_max_w
     discharge_band = (1.0 + VIOLATION_BAND_FRACTION) * params.p_discharge_max_w
 
     p_bat, soc, omega = trace.p_bat_w, trace.soc_pct, trace.omega_rad_s
-    # Python's sum keeps the original order of addition for the energy totals;
-    # numpy's pairwise sum can differ in the last bit.
-    curtailed = (trace.p_pv_avail_w - trace.p_pv_w).tolist()
     metrics = SummaryMetrics(
         max_charge_w=max(float(p_bat.max()), 0.0),
         max_discharge_w=max(float(-p_bat.min()), 0.0),
@@ -225,8 +230,8 @@ def summarize(trace: Trace, params: NanogridParams, dt_s: float) -> SummaryMetri
         soc_max_pct=float(soc.max()),
         omega_min_rad_s=float(omega.min()),
         omega_max_rad_s=float(omega.max()),
-        curtailed_energy_wh=sum(curtailed) * hours,
-        aux_energy_wh=sum(trace.p_aux_w.tolist()) * hours,
+        curtailed_energy_wh=_sum_in_order(trace.p_pv_avail_w - trace.p_pv_w) * hours,
+        aux_energy_wh=_sum_in_order(trace.p_aux_w) * hours,
         charging_fraction=np.count_nonzero(p_bat > 0.0) / len(trace),
         violations_charge=_count_episodes(p_bat > charge_band),
         violations_discharge=_count_episodes(-p_bat > discharge_band),

@@ -17,18 +17,13 @@ class ProfileOutOfRange(NanogridError):
     """A profile was sampled outside its time span."""
 
 
-class EmptyTrace(NanogridError):
-    """A summary was requested for an empty trace."""
-
-
 class ParseError(NanogridError):
-    """Malformed input text; carries the offending line number when known."""
+    """Malformed input text; the message starts with its line number when known."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class ValidationError(NanogridError):

@@ -71,10 +71,6 @@ def triangular(a: float, b: float, c: float) -> MembershipFunction:
     return MembershipFunction((float(a), float(b), float(c)))
 
 
-def trapezoidal(a: float, b: float, c: float, d: float) -> MembershipFunction:
-    return MembershipFunction((float(a), float(b), float(c), float(d)))
-
-
 def mf_eval(mf: MembershipFunction, x: float) -> float:
     """Degree of membership of ``x``, exact at breakpoints, 0 outside support."""
     left, top_lo, top_hi, right = mf.corners
@@ -216,10 +212,7 @@ class FuzzySystem:
 
     def term_centroid(self, term: str) -> float:
         """Centroid of one output term alone, on the same sample grid as infer."""
-        for k, (name, _) in enumerate(self.output.terms):
-            if name == term:
-                return self._term_centroid(k)
-        raise KeyError(term)
+        return self._term_centroid(self.output.term_names().index(term))
 
     def _term_centroid(self, k: int) -> float:
         centroid = self._term_centroids[k]

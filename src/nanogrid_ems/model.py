@@ -57,8 +57,6 @@ def battery_soc_update(
     soc_pct: float, p_bat_w: float, dt_s: float, params: NanogridParams
 ) -> float:
     """Coulomb-counting SOC update at constant voltage and unit efficiency."""
-    if dt_s <= 0:
-        raise ValueError("dt must be positive")
     delta = 100.0 * p_bat_w * (dt_s / 3600.0) / params.e_bat_wh
     raw = soc_pct + delta
     clamped = min(100.0, max(0.0, raw))

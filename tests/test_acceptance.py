@@ -14,7 +14,13 @@ import pytest
 from nanogrid_ems.cli import main
 from nanogrid_ems.controller import NanogridParams, _margins
 from nanogrid_ems.engine import run_scenario, summarize
-from nanogrid_ems.fuzzy import FuzzySystem, LinguisticVariable, Rule, trapezoidal, triangular
+from nanogrid_ems.fuzzy import (
+    FuzzySystem,
+    LinguisticVariable,
+    MembershipFunction,
+    Rule,
+    triangular,
+)
 from nanogrid_ems.model import aux_power, pv_power
 from nanogrid_ems.profiles import load_scenario
 
@@ -163,7 +169,7 @@ def _random_system(rng):
     out_terms = []
     for i in range(3):
         pts = sorted(rng.uniform(lo, hi) for _ in range(rng.choice([3, 4])))
-        mf = triangular(*pts) if len(pts) == 3 else trapezoidal(*pts)
+        mf = MembershipFunction(tuple(pts))
         out_terms.append((f"t{i}", mf))
     rules = tuple(
         Rule(

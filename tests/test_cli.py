@@ -1,8 +1,13 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nanogrid_ems
 from nanogrid_ems import __version__
 from nanogrid_ems.cli import main
 from nanogrid_ems.profiles import data_dir
@@ -53,6 +58,42 @@ def test_run_writes_outputs_and_prints_summary(tiny_scenario, tmp_path, capsys):
     assert captured.err == ""
     assert (out / "tiny_flc_trace.csv").exists()
     assert (out / "tiny_flc_summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "load_rows,status,err",
+    [
+        # 11 steps clamp the SOC at 0, then 9000 W overloads the battery.
+        (
+            ["0,2000", "10,2000", "11,9000", "60,9000"],
+            1,
+            "error: battery asked for -8000 W (limit 4000 W)\n",
+        ),
+        # Every one of the 60 steps clamps the SOC at 0.
+        (["0,1500", "60,1500"], 0, ""),
+    ],
+)
+def test_soc_clamps_print_nothing_on_stderr(tmp_path, load_rows, status, err):
+    # A child process has the real stderr: in-process, pytest's log capture
+    # would hide clamp records that Python's last-resort handler prints.
+    write_profile(tmp_path / "pv.csv", ["0,0", "60,0"])
+    write_profile(tmp_path / "load.csv", load_rows)
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(
+        "name = empty\npv_profile = pv.csv\nload_profile = load.csv\n"
+        "soc_init_pct = 0\nduration_s = 60\n"
+    )
+    src = str(Path(nanogrid_ems.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["run", str(cfg), "--out", str(tmp_path / "out")]
+    child = subprocess.run(
+        [sys.executable, "-m", "nanogrid_ems", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (child.returncode, child.stderr) == (status, err)
 
 
 def test_run_missing_profile_names_path(tmp_path, capsys):

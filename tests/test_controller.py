@@ -256,8 +256,6 @@ class TestProportional:
 def test_make_controller_kinds(params):
     assert isinstance(make_controller("flc", params), FuzzyEms)
     assert isinstance(make_controller("proportional", params), ProportionalEms)
-    with pytest.raises(ValidationError):
-        make_controller("pid", params)
 
 
 # Non-default limits move every normalisation span and calibration constant.

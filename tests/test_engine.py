@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nanogrid_ems.controller import NanogridParams
@@ -9,10 +11,11 @@ from nanogrid_ems.engine import (
     Profile,
     Scenario,
     SummaryMetrics,
+    _step_count,
     run_scenario,
     summarize,
 )
-from nanogrid_ems.errors import EmptyTrace, ProfileOutOfRange, ValidationError
+from nanogrid_ems.errors import ProfileOutOfRange, ValidationError
 from nanogrid_ems.model import battery_soc_update
 
 from trace_rows import Row, rows, summarize_rows_seed, trace_of
@@ -30,6 +33,23 @@ def scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+@st.composite
+def step_pairs(draw):
+    """``(duration_s, dt_s)``: equal, one ulp apart, or near a drawn ratio."""
+    dt = draw(st.floats(min_value=5e-324, max_value=1e300))
+    ratio = draw(
+        st.one_of(
+            st.integers(1, MAX_STEPS + 1),
+            st.floats(0.0, 1.0),
+            st.floats(1.0, 2.0 * MAX_STEPS),
+        )
+    )
+    duration = draw(st.sampled_from([dt, math.nextafter(dt, math.inf), dt * ratio]))
+    for _ in range(draw(st.integers(0, 2))):
+        duration = math.nextafter(duration, draw(st.sampled_from([0.0, math.inf])))
+    return duration, dt
 
 
 def record(**overrides):
@@ -87,6 +107,21 @@ class TestScenarioValidation:
             scenario(duration_s=1e13)
         with pytest.raises(ValidationError, match="steps"):
             scenario(duration_s=60.0, dt_s=5e-324)
+
+    @settings(max_examples=300)
+    @given(step_pairs())
+    @example((float(MAX_STEPS), 1.0))
+    @example((2.1, 0.3))
+    def test_accepted_steps_give_one_to_max_steps(self, pair):
+        # Why summarize needs no check for an empty trace.
+        duration, dt = pair
+        # A battery this large lets one step of any drawn dt pass the SOC band.
+        big = NanogridParams(c_bat_ah=1e300)
+        try:
+            sc = scenario(params=big, dt_s=dt, duration_s=duration)
+        except ValidationError:
+            assume(False)
+        assert 1 <= _step_count(sc.duration_s, sc.dt_s) <= MAX_STEPS
 
     def test_one_step_may_not_cross_the_low_soc_band(self):
         # Defaults: 4000 W for dt moves the SOC by dt / 108 %; the band is 10 %.
@@ -207,10 +242,6 @@ class TestRunScenario:
 
 
 class TestSummarize:
-    def test_empty_trace_rejected(self, params):
-        with pytest.raises(EmptyTrace):
-            summarize(trace_of([]), params, 1.0)
-
     def test_dead_network_summary(self, params, flat_profile):
         sc = scenario(soc_init_pct=50.0, duration_s=60.0)
         trace = run_scenario(sc, flat_profile(0.0, "pv"), flat_profile(0.0, "load"))
@@ -266,6 +297,20 @@ class TestSummarize:
         assert summarize(trace, params, 1.0).violations_soc_high == 1
         trace = trace_of([record(soc_pct=39.8)] * 10)
         assert summarize(trace, params, 1.0).violations_soc_low == 1
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            # 0.0 added in order; 1.0 under a compensated sum (Python 3.12's).
+            [1e16, 1.0, -1e16],
+            # The start value 0.0 turns an all -0.0 total into 0.0.
+            [-0.0, -0.0],
+        ],
+    )
+    def test_energy_totals_add_in_order(self, params, column):
+        trace = trace_of([record(p_pv_avail_w=p, p_aux_w=p) for p in column])
+        m = summarize(trace, params, 3600.0)
+        assert m.curtailed_energy_wh.hex() == m.aux_energy_wh.hex() == (0.0).hex()
 
     def test_idempotent(self, params):
         trace = trace_of([record(p_bat_w=300.0), record(p_bat_w=-200.0, t_s=1.0)])

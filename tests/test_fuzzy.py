@@ -16,7 +16,6 @@ from nanogrid_ems.fuzzy import (
     Rule,
     fuzzify,
     mf_eval,
-    trapezoidal,
     triangular,
 )
 
@@ -70,7 +69,7 @@ class TestMembership:
         assert mf_eval(mf, 0.75) == 0.5
 
     def test_trapezoid_plateau(self):
-        mf = trapezoidal(0.0, 0.2, 0.6, 1.0)
+        mf = MembershipFunction((0.0, 0.2, 0.6, 1.0))
         assert mf_eval(mf, 0.2) == 1.0
         assert mf_eval(mf, 0.4) == 1.0
         assert mf_eval(mf, 0.6) == 1.0
@@ -311,7 +310,7 @@ def _random_case(rng):
     out_terms = []
     for i in range(3):
         pts = out_term()
-        mf = triangular(*pts) if len(pts) == 3 else trapezoidal(*pts)
+        mf = MembershipFunction(pts)
         out_terms.append((f"t{i}", mf))
     output = LinguisticVariable("out", lo, hi, tuple(out_terms))
 

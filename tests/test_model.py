@@ -152,10 +152,6 @@ class TestSocUpdate:
     def test_clamps_at_full(self, params):
         assert battery_soc_update(100.0, 1000.0, 3600.0, params) == 100.0
 
-    def test_rejects_nonpositive_dt(self, params):
-        with pytest.raises(ValueError):
-            battery_soc_update(50.0, 0.0, 0.0, params)
-
     @settings(max_examples=60)
     @given(
         st.floats(min_value=20.0, max_value=80.0),

@@ -43,6 +43,15 @@ def _count_episodes_seed(flags) -> int:
     return episodes
 
 
+def _sum_seed(values) -> float:
+    """Floats added as the seed's ``sum`` added them on Python 3.11: in order,
+    from 0.0, without the compensation Python 3.12's ``sum`` adds."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def summarize_rows_seed(trace, params, dt_s) -> SummaryMetrics:
     """The original ``summarize``, over a list of rows."""
     hours = dt_s / 3600.0
@@ -59,8 +68,8 @@ def summarize_rows_seed(trace, params, dt_s) -> SummaryMetrics:
         soc_max_pct=max(soc),
         omega_min_rad_s=min(omega),
         omega_max_rad_s=max(omega),
-        curtailed_energy_wh=sum(r.p_pv_avail_w - r.p_pv_w for r in trace) * hours,
-        aux_energy_wh=sum(r.p_aux_w for r in trace) * hours,
+        curtailed_energy_wh=_sum_seed(r.p_pv_avail_w - r.p_pv_w for r in trace) * hours,
+        aux_energy_wh=_sum_seed(r.p_aux_w for r in trace) * hours,
         charging_fraction=sum(1 for p in p_bat if p > 0.0) / len(trace),
         violations_charge=_count_episodes_seed(p > charge_band for p in p_bat),
         violations_discharge=_count_episodes_seed(-p > discharge_band for p in p_bat),

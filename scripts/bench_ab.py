@@ -3,6 +3,7 @@
     python scripts/bench_ab.py PARENT_REF [--pairs 10] [--workload all]
         [--seed 1] [--trace 0] [--out FILE]
     python scripts/bench_ab.py PARENT_REF --step KIND [--pairs 10] [--out FILE]
+    python scripts/bench_ab.py PARENT_REF --load [--seed 1] [--pairs 10] [--out FILE]
 
 The parent side is a fresh copy of the parent commit's files (``git
 archive``, which registers nothing in the repository); the change side is
@@ -12,7 +13,7 @@ line each run prints last; every run lasts BENCHMARK.json's run_seconds.
 The output is one JSON object: for every workload and metric, the raw
 values of both sides, their median, quartiles and IQR, how many pairs the
 change won and the change of the median in percent. Only the standard
-library is used.
+library is used, and numpy where ``--load`` writes its inputs.
 
 ``--step KIND`` times the closed loop alone, with the same pairing and
 statistics: each run is a fresh interpreter on the side's ``src/`` that
@@ -20,11 +21,19 @@ takes the best of 3 ``run_scenario`` calls on every bundled scenario under
 controller KIND, and reports microseconds per step over all of them and a
 sha256 of every trace column. The mode fails unless every run of both
 sides gives the same digest. Its output is a ``step_ab`` block.
+
+``--load`` times the profile reader alone, in the same way: it writes
+``perfbench/measured.py``'s inputs for ``--seed`` once, and each run is a
+fresh interpreter on the side's ``src/`` that takes the best of 3
+``load_scenario`` calls on them and a sha256 of both profiles' arrays. The
+mode fails unless every run of both sides gives the same digest. Its output
+is a ``load_ab`` block.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -58,6 +67,23 @@ for path in sorted(data_dir().glob("*.cfg")):
     for name in TRACE_FIELDS:
         digest.update(getattr(trace, name).tobytes())
 print(json.dumps({"us_per_step": 1e6 * seconds / steps, "digest": digest.hexdigest()}))
+"""
+
+# Run by ``--load`` in a fresh interpreter on a scenario config; prints one JSON line.
+LOAD_RUN = """
+import hashlib, json, sys, time
+from nanogrid_ems.profiles import load_scenario
+
+best = float("inf")
+for _ in range(3):
+    started = time.perf_counter()
+    scenario, pv, load = load_scenario(sys.argv[1])
+    best = min(best, time.perf_counter() - started)
+digest = hashlib.sha256()
+for profile in (pv, load):
+    digest.update(profile.t_s.tobytes())
+    digest.update(profile.power_w.tobytes())
+print(json.dumps({"load_s": best, "digest": digest.hexdigest()}))
 """
 
 
@@ -100,14 +126,24 @@ def bench(checkout: Path, args) -> dict:
     return result
 
 
-def step_run(checkout: Path, kind: str) -> dict:
-    """One ``STEP_RUN`` on ``checkout``'s package: µs per step and trace digest."""
+def fresh_run(checkout: Path, script: str, arg: str) -> dict:
+    """``script`` in a fresh interpreter on ``checkout``'s package: its JSON line."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    argv = [sys.executable, "-c", STEP_RUN, kind]
+    argv = [sys.executable, "-c", script, arg]
     done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"error: step run failed in {checkout}:\n{done.stderr}")
+        sys.exit(f"error: run failed in {checkout}:\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def measured_inputs(dest: Path, seed: int) -> Path:
+    """Write perfbench's measured_compare inputs for ``seed``; return the config."""
+    spec = importlib.util.spec_from_file_location(
+        "measured", ROOT / "perfbench" / "measured.py"
+    )
+    measured = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(measured)
+    return measured.write_inputs(dest, seed)
 
 
 def stats(values: list[float]) -> dict:
@@ -179,11 +215,17 @@ def bench_report(runs: list[dict], args, spec: dict, better: dict[str, str]) -> 
     }
 
 
-def step_report(runs: list[dict], args) -> dict:
-    """The ``step_ab`` block of ``--step`` runs; exits if a trace digest differs."""
+def same_digest(runs: list[dict], what: str) -> str:
+    """The digest that every run of both sides gave; exits if two differ."""
     digests = {run[side]["digest"] for run in runs for side in SIDES}
     if len(digests) != 1:
-        sys.exit(f"error: the traces differ between runs: {sorted(digests)}")
+        sys.exit(f"error: the {what} differ between runs: {sorted(digests)}")
+    return digests.pop()
+
+
+def step_report(runs: list[dict], args) -> dict:
+    """The ``step_ab`` block of ``--step`` runs; exits if a trace digest differs."""
+    digest = same_digest(runs, "traces")
     values = {side: [round(run[side]["us_per_step"], 3) for run in runs] for side in SIDES}
     return {
         "step_ab": {
@@ -199,7 +241,31 @@ def step_report(runs: list[dict], args) -> dict:
             ),
             args.step: {
                 **compared("us per step", values, lower=True),
-                "trace_sha256": digests.pop(),
+                "trace_sha256": digest,
+            },
+        }
+    }
+
+
+def load_report(runs: list[dict], args) -> dict:
+    """The ``load_ab`` block of ``--load`` runs; exits if a profile digest differs."""
+    digest = same_digest(runs, "profiles")
+    values = {side: [round(run[side]["load_s"], 4) for run in runs] for side in SIDES}
+    return {
+        "load_ab": {
+            "method": (
+                "load_scenario on perfbench/measured.py's measured_day inputs for"
+                f" seed {args.seed} (two profiles of 432 001 rows), written once; each"
+                " measurement is a fresh interpreter with PYTHONPATH set to the side's"
+                " src/, taking the best of 3 load_scenario calls;"
+                f" {args.pairs} interleaved pairs, parent first in even-numbered pairs"
+                f" (0-based). parent: {args.parent}; change: the working tree."
+                " profiles_sha256 hashes the time and power arrays of both profiles,"
+                " the same on every run of both sides"
+            ),
+            "measured_day": {
+                **compared("s", values, lower=True),
+                "profiles_sha256": digest,
             },
         }
     }
@@ -213,8 +279,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--step", metavar="KIND", help="time run_scenario per step under controller KIND"
+    )
+    mode.add_argument(
+        "--load", action="store_true", help="time load_scenario on the measured inputs"
     )
     args = parser.parse_args(argv)
 
@@ -222,12 +292,17 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         checkouts = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
+        if args.load:
+            config = str(measured_inputs(Path(tmp) / "inputs", args.seed))
         runs = []
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             if args.step:
-                run = {side: step_run(checkouts[side], args.step) for side in order}
+                run = {side: fresh_run(checkouts[side], STEP_RUN, args.step) for side in order}
                 shown = (f"{side} {run[side]['us_per_step']:.3f} us" for side in SIDES)
+            elif args.load:
+                run = {side: fresh_run(checkouts[side], LOAD_RUN, config) for side in order}
+                shown = (f"{side} {run[side]['load_s']:.4f} s" for side in SIDES)
             else:
                 run = {side: bench(checkouts[side], args) for side in order}
                 shown = (
@@ -236,11 +311,13 @@ def main(argv=None) -> int:
                 )
             runs.append(run)
             print(f"pair {i}: " + "  ".join(shown), file=sys.stderr)
-    text = json.dumps(
-        step_report(runs, args) if args.step else bench_report(runs, args, spec, better),
-        indent=1,
-        ensure_ascii=False,
-    )
+    if args.step:
+        report = step_report(runs, args)
+    elif args.load:
+        report = load_report(runs, args)
+    else:
+        report = bench_report(runs, args, spec, better)
+    text = json.dumps(report, indent=1, ensure_ascii=False)
     if args.out is None:
         sys.stdout.write(text + "\n")
     else:

@@ -3,15 +3,17 @@
     python scripts/reach.py
 
 Runs ``python -m nanogrid_ems`` in-process under the standard library's
-``trace`` module: ``run`` on every bundled scenario under each controller,
-through copies of the configs cut to ``duration_s = 600``; ``compare`` on
-one of those copies; ``run`` on a 60 s scenario that clamps the SOC;
-``dump-fis``; and ``run`` on a missing scenario. The package is imported
-under the tracer, so its module-level lines count. The script then prints
-every line of ``src/nanogrid_ems`` that holds code, never ran and is not
-part of a ``raise`` statement, as ``path:line: text``, and exits 1 if a
-command did not end with the status expected of it. Only the standard
-library is used.
+``trace`` module: ``run`` on every bundled scenario under each
+controller, through copies of the configs cut to ``duration_s = 600``;
+``compare`` on one of those copies; ``run`` on a 60 s scenario that
+clamps the SOC; ``run`` on that scenario with a plain-text profile named
+``*.gz``, which numpy would decompress by its name, so the reader parses
+its text from memory; ``dump-fis``; and ``run`` on a missing scenario.
+The package is imported under the tracer, so its module-level lines
+count. The script then prints every line of ``src/nanogrid_ems`` that
+holds code, never ran and is not part of a ``raise`` statement, as
+``path:line: text``, and exits 1 if a command did not end with the
+status expected of it. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -80,6 +82,13 @@ def exercise(work: Path) -> list[str]:
         encoding="utf-8",
     )
     commands.append((["run", str(clamp), "--out", out], 0))
+    (work / "zero.gz").write_text("t_s,power_w\n0,0\n60,0\n", encoding="utf-8")
+    gz = work / "gz.cfg"
+    gz.write_text(
+        clamp.read_text(encoding="utf-8").replace("zero.csv", "zero.gz"),
+        encoding="utf-8",
+    )
+    commands.append((["run", str(gz), "--out", out], 0))
     commands.append((["dump-fis", "--out", str(work / "out" / "fis.cfg")], 0))
     commands.append((["run", str(work / "missing.cfg"), "--out", out], 1))
 

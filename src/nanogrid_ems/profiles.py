@@ -8,6 +8,8 @@ so that measured data can be substituted for the bundled curves.
 from __future__ import annotations
 
 import io
+import os
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
@@ -62,29 +64,40 @@ def _parse_rows(lines, display: str) -> tuple[list[float], list[float]]:
     return ts, values
 
 
-def _numpy_columns(body: str) -> np.ndarray | None:
-    """The rows of ``body`` as a (2, n) array read by numpy's C reader, or
+def _numpy_columns(source, skiprows: int = 0) -> np.ndarray | None:
+    """The rows of ``source`` as a (2, n) array read by numpy's C reader, or
     None where it refuses them."""
     try:
         # An empty body warns; a warning refuses the rows like an error.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # UTF-8 bytes: a StringIO of the body would hold 4 bytes a character.
-            lines = io.BytesIO(body.encode())
             table = np.loadtxt(
-                lines, delimiter=",", comments=None, ndmin=2, encoding="utf-8"
+                source,
+                delimiter=",",
+                comments=None,
+                skiprows=skiprows,
+                ndmin=2,
+                encoding="utf-8",
             )
     except (ValueError, Warning):
         return None
     return table.T.copy() if table.shape[1] == 2 else None
 
 
+# The suffixes by which numpy.lib._datasource decompresses a path it opens.
+_NUMPY_DECOMPRESSES = (".bz2", ".gz", ".xz", ".lzma")
+
+
 def load_profile(path) -> Profile:
     """Parse and validate a profile file (header ``t_s,power_w``) named by its stem.
 
-    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``. The text after the header
-    is read whole, and numpy's reader parses its rows in one pass. Whenever
-    it refuses them, ``_parse_rows`` parses the same rows again: it accepts
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``. The file is opened twice.
+    Python first reads it as text: the header check, strict UTF-8 and the
+    body kept for the line loop. Then numpy's reader parses the rows in one
+    pass: of a regular file, by its path, as numpy reads a path in chunks
+    but any file object line by line; of a pipe, a FIFO or a name that numpy
+    would decompress by its suffix, from the decoded text. Whenever numpy
+    refuses the rows, ``_parse_rows`` parses the same text again: it accepts
     what numpy does not but float() does (``1_0``, blank rows), and otherwise
     raises the error for the first bad row.
     """
@@ -92,10 +105,18 @@ def load_profile(path) -> Profile:
         if fh.readline().strip() != PROFILE_HEADER:
             raise ParseError(f"{display}: expected header {PROFILE_HEADER!r}", line=1)
         body = fh.read()
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     columns = None
     # numpy's reader strips \x1c-\x1f around a number; float() does not.
     if not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
-        columns = _numpy_columns(body)
+        name = os.fspath(path)
+        if regular and os.path.splitext(name)[1] not in _NUMPY_DECOMPRESSES:
+            # The leading ./ keeps numpy from taking a relative path such
+            # as http://host/p.csv for a URL to fetch.
+            columns = _numpy_columns(os.path.join(os.curdir, name), skiprows=1)
+        else:
+            # UTF-8 bytes: a StringIO of the body would hold 4 bytes a character.
+            columns = _numpy_columns(io.BytesIO(body.encode()))
     if columns is None:
         columns = np.array(_parse_rows(io.StringIO(body), display))
     t_s, power_w = columns

@@ -1,4 +1,8 @@
+import io
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -7,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+
+import nanogrid_ems
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +176,94 @@ class TestNumpyReaderFallback:
         assert profile.power_w.tolist() == [10.0, 1.0]
 
 
+class TestNumpyReaderRoute:
+    """numpy reads a regular file by its path; every other source gets the text."""
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compression_suffix(self, tmp_path, suffix):
+        # numpy would decompress a path by these suffixes, and fail on text.
+        text = profile_text(["0,1", "60,2.5", "120,3"])
+        (tmp_path / "p.csv").write_text(text, encoding="utf-8")
+        (tmp_path / f"p{suffix}").write_text(text, encoding="utf-8")
+        expected = parse_outcome(load_profile, tmp_path / "p.csv")
+        assert parse_outcome(load_profile, tmp_path / f"p{suffix}") == expected
+
+    def test_suffixes_cover_what_numpy_decompresses(self):
+        openers = np.lib._datasource._file_openers.keys()
+        assert {s for s in openers if s} <= set(profiles._NUMPY_DECOMPRESSES)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_filled_once(self, tmp_path):
+        # A FIFO gives its text once: a second open would wait for a writer
+        # forever, so the load runs in a child that a timeout ends.
+        fifo = tmp_path / "p.csv"
+        os.mkfifo(fifo)
+        script = (
+            "import json, sys, threading\n"
+            "from nanogrid_ems.profiles import load_profile\n"
+            "def fill():\n"
+            "    with open(sys.argv[1], 'w', encoding='utf-8') as writer:\n"
+            "        writer.write(sys.argv[2])\n"
+            "threading.Thread(target=fill, daemon=True).start()\n"
+            "profile = load_profile(sys.argv[1])\n"
+            "print(json.dumps([profile.t_s.tolist(), profile.power_w.tolist()]))\n"
+        )
+        src = str(Path(nanogrid_ems.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(fifo), profile_text(["0,1", "60,2"])],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        assert json.loads(child.stdout) == [[0.0, 60.0], [1.0, 2.0]]
+
+    def test_regular_file_is_read_by_path(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(profile_text(["0,1", "60,2"]), encoding="utf-8")
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            profile = load_profile(path)
+        (source,) = spy.call_args.args
+        assert isinstance(source, str) and Path(source) == path
+        assert profile.power_w.tolist() == [1.0, 2.0]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_from_memory(self):
+        read_fd, write_fd = os.pipe()
+        with open(write_fd, "w", encoding="utf-8") as writer:
+            writer.write(profile_text(["0,1", "60,2"]))
+        try:
+            with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+                profile = load_profile(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+        (source,) = spy.call_args.args
+        assert isinstance(source, io.BytesIO)
+        assert profile.power_w.tolist() == [1.0, 2.0]
+
+    def test_relative_path_that_parses_as_a_url(self, tmp_path, monkeypatch):
+        # http://host/p.csv is also the relative path http:/host/p.csv; numpy
+        # would fetch a str that parses as a URL.
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "p.csv").write_text(
+            profile_text(["0,1", "60,2"]), encoding="utf-8"
+        )
+        monkeypatch.chdir(tmp_path)
+        is_url = np.lib._datasource.DataSource(str(tmp_path))._isurl
+        loadtxt = np.loadtxt
+
+        def local_only(source, **kwargs):
+            assert not (isinstance(source, str) and is_url(source))
+            return loadtxt(source, **kwargs)
+
+        with mock.patch.object(np, "loadtxt", side_effect=local_only) as spy:
+            profile = load_profile("http://host/p.csv")
+        assert spy.call_count == 1
+        assert profile.power_w.tolist() == [1.0, 2.0]
+
+
 # Spellings of a row's time that float() accepts.
 SPELLINGS = (
     "{}", " {} ", "\t{}", "+{}", "{}.0", "{}e0", "{}_0e-1", "0{}", "\xa0{}\xa0",
@@ -287,6 +381,32 @@ class TestStreamedParseMatchesSeed:
             path.write_bytes(text.encode("utf-8"))
             expected = parse_outcome(line_loop_only, path)
             assert parse_outcome(load_profile, path) == expected
+
+
+@pytest.fixture(scope="module")
+def long_rows():
+    """200 000 rows of 8 to 25 characters, so read chunks end anywhere in a row."""
+    rng = np.random.Generator(np.random.PCG64(12))
+    n = 200_000
+    scale = 10.0 ** rng.integers(0, 13, n)
+    powers = np.round(rng.uniform(0, 3000, n) * scale) / scale
+    rows = [f"{t / 10},{p!r}" for t, p in enumerate(powers.tolist())]
+    return rows, np.arange(n) / 10, powers
+
+
+class TestLongProfileMatchesSeed:
+    """A profile longer than numpy's read chunk parses as the line loop and
+    the seed parser parse it, whatever ends its lines."""
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_same_arrays(self, tmp_path, long_rows, end):
+        rows, times, powers = long_rows
+        path = tmp_path / "long.csv"
+        path.write_bytes(end.join(["t_s,power_w", *rows, ""]).encode())
+        outcome = parse_outcome(load_profile, path)
+        assert outcome[1:] == (times.tobytes(), powers.tobytes())
+        assert outcome == parse_outcome(line_loop_only, path)
+        assert outcome == parse_outcome(reference_seed.load_profile, path)
 
 
 class TestSampleProfile:

@@ -66,7 +66,7 @@ for path in sorted(data_dir().glob("*.cfg")):
     steps += len(trace)
     for name in TRACE_FIELDS:
         digest.update(getattr(trace, name).tobytes())
-print(json.dumps({"us_per_step": 1e6 * seconds / steps, "digest": digest.hexdigest()}))
+print(json.dumps({"value": 1e6 * seconds / steps, "digest": digest.hexdigest()}))
 """
 
 # Run by ``--load`` in a fresh interpreter on a scenario config; prints one JSON line.
@@ -83,8 +83,36 @@ digest = hashlib.sha256()
 for profile in (pv, load):
     digest.update(profile.t_s.tobytes())
     digest.update(profile.power_w.tobytes())
-print(json.dumps({"load_s": best, "digest": digest.hexdigest()}))
+print(json.dumps({"value": best, "digest": digest.hexdigest()}))
 """
+
+# The fresh-interpreter modes, by flag: the script that each run executes,
+# its unit and rounding, the name of its digest, and what it times and hashes.
+FRESH_MODES = {
+    "step": {
+        "script": STEP_RUN,
+        "unit": "us per step",
+        "digits": 3,
+        "digest": "trace_sha256",
+        "timed": (
+            "run_scenario on every bundled scenario (43 200 steps each) with the"
+            " controller replaced by each kind, best of 3 calls per scenario, their"
+            " sum divided by the total step count"
+        ),
+        "hashed": "every trace column of every scenario",
+    },
+    "load": {
+        "script": LOAD_RUN,
+        "unit": "s",
+        "digits": 4,
+        "digest": "profiles_sha256",
+        "timed": (
+            "load_scenario on perfbench/measured.py's measured_day inputs for seed"
+            " {seed} (two profiles of 432 001 rows, written once), best of 3 calls"
+        ),
+        "hashed": "the time and power arrays of both profiles",
+    },
+}
 
 
 def export(ref: str, dest: Path) -> Path:
@@ -215,60 +243,25 @@ def bench_report(runs: list[dict], args, spec: dict, better: dict[str, str]) -> 
     }
 
 
-def same_digest(runs: list[dict], what: str) -> str:
-    """The digest that every run of both sides gave; exits if two differ."""
+def fresh_report(runs: list[dict], args, flag: str, entry: str) -> dict:
+    """The ``step_ab`` or ``load_ab`` block of fresh-interpreter runs; exits
+    unless every run of both sides gave the same digest."""
+    mode = FRESH_MODES[flag]
     digests = {run[side]["digest"] for run in runs for side in SIDES}
     if len(digests) != 1:
-        sys.exit(f"error: the {what} differ between runs: {sorted(digests)}")
-    return digests.pop()
-
-
-def step_report(runs: list[dict], args) -> dict:
-    """The ``step_ab`` block of ``--step`` runs; exits if a trace digest differs."""
-    digest = same_digest(runs, "traces")
-    values = {side: [round(run[side]["us_per_step"], 3) for run in runs] for side in SIDES}
-    return {
-        "step_ab": {
-            "method": (
-                "run_scenario on every bundled scenario (43 200 steps each) with the"
-                " controller replaced by each kind; each measurement is a fresh"
-                " interpreter with PYTHONPATH set to the side's src/, taking the best"
-                " of 3 run_scenario calls per scenario, their sum divided by the total"
-                f" step count; {args.pairs} interleaved pairs per kind, parent first in"
-                f" even-numbered pairs (0-based). parent: {args.parent}; change: the"
-                " working tree. trace_sha256 hashes every trace column of every"
-                " scenario, the same on every run of both sides"
-            ),
-            args.step: {
-                **compared("us per step", values, lower=True),
-                "trace_sha256": digest,
-            },
-        }
-    }
-
-
-def load_report(runs: list[dict], args) -> dict:
-    """The ``load_ab`` block of ``--load`` runs; exits if a profile digest differs."""
-    digest = same_digest(runs, "profiles")
-    values = {side: [round(run[side]["load_s"], 4) for run in runs] for side in SIDES}
-    return {
-        "load_ab": {
-            "method": (
-                "load_scenario on perfbench/measured.py's measured_day inputs for"
-                f" seed {args.seed} (two profiles of 432 001 rows), written once; each"
-                " measurement is a fresh interpreter with PYTHONPATH set to the side's"
-                " src/, taking the best of 3 load_scenario calls;"
-                f" {args.pairs} interleaved pairs, parent first in even-numbered pairs"
-                f" (0-based). parent: {args.parent}; change: the working tree."
-                " profiles_sha256 hashes the time and power arrays of both profiles,"
-                " the same on every run of both sides"
-            ),
-            "measured_day": {
-                **compared("s", values, lower=True),
-                "profiles_sha256": digest,
-            },
-        }
-    }
+        sys.exit(f"error: {mode['digest']} differs between runs: {sorted(digests)}")
+    digits = mode["digits"]
+    values = {side: [round(run[side]["value"], digits) for run in runs] for side in SIDES}
+    method = (
+        f"{mode['timed'].format(seed=args.seed)}; each measurement is a fresh"
+        f" interpreter with PYTHONPATH set to the side's src/; {args.pairs}"
+        " interleaved pairs, parent first in even-numbered pairs (0-based)."
+        f" parent: {args.parent}; change: the working tree. {mode['digest']}"
+        f" hashes {mode['hashed']}, the same on every run of both sides"
+    )
+    result = compared(mode["unit"], values, lower=True)
+    result[mode["digest"]] = digests.pop()
+    return {f"{flag}_ab": {"method": method, entry: result}}
 
 
 def main(argv=None) -> int:
@@ -292,17 +285,24 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         checkouts = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
-        if args.load:
-            config = str(measured_inputs(Path(tmp) / "inputs", args.seed))
+        flag = "step" if args.step else "load" if args.load else None
+        if args.step:
+            entry, arg = args.step, args.step
+        elif args.load:
+            config = measured_inputs(Path(tmp) / "inputs", args.seed)
+            entry, arg = "measured_day", str(config)
         runs = []
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            if args.step:
-                run = {side: fresh_run(checkouts[side], STEP_RUN, args.step) for side in order}
-                shown = (f"{side} {run[side]['us_per_step']:.3f} us" for side in SIDES)
-            elif args.load:
-                run = {side: fresh_run(checkouts[side], LOAD_RUN, config) for side in order}
-                shown = (f"{side} {run[side]['load_s']:.4f} s" for side in SIDES)
+            if flag:
+                mode = FRESH_MODES[flag]
+                run = {
+                    side: fresh_run(checkouts[side], mode["script"], arg) for side in order
+                }
+                shown = (
+                    f"{side} {run[side]['value']:.{mode['digits']}f} {mode['unit']}"
+                    for side in SIDES
+                )
             else:
                 run = {side: bench(checkouts[side], args) for side in order}
                 shown = (
@@ -311,10 +311,8 @@ def main(argv=None) -> int:
                 )
             runs.append(run)
             print(f"pair {i}: " + "  ".join(shown), file=sys.stderr)
-    if args.step:
-        report = step_report(runs, args)
-    elif args.load:
-        report = load_report(runs, args)
+    if flag:
+        report = fresh_report(runs, args, flag, entry)
     else:
         report = bench_report(runs, args, spec, better)
     text = json.dumps(report, indent=1, ensure_ascii=False)

@@ -7,8 +7,8 @@ Runs ``python -m nanogrid_ems`` in-process under the standard library's
 controller, through copies of the configs cut to ``duration_s = 600``;
 ``compare`` on one of those copies; ``run`` on a 60 s scenario that
 clamps the SOC; ``run`` on that scenario with a plain-text profile named
-``*.gz``, which numpy would decompress by its name, so the reader parses
-its text from memory; ``dump-fis``; and ``run`` on a missing scenario.
+``*.gz``, which numpy would decompress by its name, so the line loop
+parses its text; ``dump-fis``; and ``run`` on a missing scenario.
 The package is imported under the tracer, so its module-level lines
 count. The script then prints every line of ``src/nanogrid_ems`` that
 holds code, never ran and is not part of a ``raise`` statement, as

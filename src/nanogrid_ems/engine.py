@@ -86,6 +86,10 @@ class Scenario:
         # The name is the stem of the output files inside the output directory.
         if "/" in self.name or "\0" in self.name:
             raise ValidationError(f"name {self.name!r} must not hold '/' or NUL")
+        # open() raises ValueError, not OSError, on a path that holds NUL.
+        for ref in (self.pv_profile, self.load_profile):
+            if "\0" in ref:
+                raise ValidationError(f"profile reference {ref!r} must not hold NUL")
         if not self.dt_s > 0:
             raise ValidationError("dt must be positive")
         if self.duration_s < self.dt_s:

@@ -195,8 +195,8 @@ class FuzzySystem:
         self._strengths = namespace["strengths"]
 
         n = self.resolution
-        self._dx = (self.output.hi - self.output.lo) / n
-        xs = self.output.lo + (np.arange(n, dtype=float) + 0.5) * self._dx
+        dx = (self.output.hi - self.output.lo) / n
+        xs = self.output.lo + (np.arange(n, dtype=float) + 0.5) * dx
         self._xs = xs
         self._term_values = tuple(
             np.array([mf_eval(mf, float(x)) for x in xs]) for _, mf in self.output.terms

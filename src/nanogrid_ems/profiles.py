@@ -64,18 +64,18 @@ def _parse_rows(lines, display: str) -> tuple[list[float], list[float]]:
     return ts, values
 
 
-def _numpy_columns(source, skiprows: int = 0) -> np.ndarray | None:
-    """The rows of ``source`` as a (2, n) array read by numpy's C reader, or
-    None where it refuses them."""
+def _numpy_columns(path: str) -> np.ndarray | None:
+    """The rows after the header of the file at ``path`` as a (2, n) array
+    read by numpy's C reader, or None where it refuses them."""
     try:
         # An empty body warns; a warning refuses the rows like an error.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(
-                source,
+                path,
                 delimiter=",",
                 comments=None,
-                skiprows=skiprows,
+                skiprows=1,
                 ndmin=2,
                 encoding="utf-8",
             )
@@ -91,32 +91,29 @@ _NUMPY_DECOMPRESSES = (".bz2", ".gz", ".xz", ".lzma")
 def load_profile(path) -> Profile:
     """Parse and validate a profile file (header ``t_s,power_w``) named by its stem.
 
-    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``. The file is opened twice.
-    Python first reads it as text: the header check, strict UTF-8 and the
-    body kept for the line loop. Then numpy's reader parses the rows in one
-    pass: of a regular file, by its path, as numpy reads a path in chunks
-    but any file object line by line; of a pipe, a FIFO or a name that numpy
-    would decompress by its suffix, from the decoded text. Whenever numpy
-    refuses the rows, ``_parse_rows`` parses the same text again: it accepts
-    what numpy does not but float() does (``1_0``, blank rows), and otherwise
-    raises the error for the first bad row.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``. Python first reads the
+    file as text: the header check, strict UTF-8 and the body kept for the
+    line loop. numpy's reader then parses the rows of a regular file in one
+    pass, opening it again by its path, as numpy reads a path in chunks but
+    any file object line by line. ``_parse_rows`` parses the body of every
+    other source (a pipe, a FIFO, a name that numpy would decompress by its
+    suffix) and the rows numpy refuses: it accepts what numpy does not but
+    float() does (``1_0``, blank rows), and otherwise raises the error for
+    the first bad row.
     """
     with _open_text(path) as (fh, display):
         if fh.readline().strip() != PROFILE_HEADER:
             raise ParseError(f"{display}: expected header {PROFILE_HEADER!r}", line=1)
         body = fh.read()
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    name = os.fspath(path)
+    by_path = regular and os.path.splitext(name)[1] not in _NUMPY_DECOMPRESSES
     columns = None
     # numpy's reader strips \x1c-\x1f around a number; float() does not.
-    if not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
-        name = os.fspath(path)
-        if regular and os.path.splitext(name)[1] not in _NUMPY_DECOMPRESSES:
-            # The leading ./ keeps numpy from taking a relative path such
-            # as http://host/p.csv for a URL to fetch.
-            columns = _numpy_columns(os.path.join(os.curdir, name), skiprows=1)
-        else:
-            # UTF-8 bytes: a StringIO of the body would hold 4 bytes a character.
-            columns = _numpy_columns(io.BytesIO(body.encode()))
+    if by_path and not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        # The leading ./ keeps numpy from taking a relative path such as
+        # http://host/p.csv for a URL to fetch.
+        columns = _numpy_columns(os.path.join(os.curdir, name))
     if columns is None:
         columns = np.array(_parse_rows(io.StringIO(body), display))
     t_s, power_w = columns
@@ -125,7 +122,7 @@ def load_profile(path) -> Profile:
 
 def _parse_kv(text: str, display: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -194,15 +191,8 @@ def load_scenario(name_or_path) -> tuple[Scenario, Profile, Profile]:
     """
     path = resolve_scenario_path(name_or_path)
     scenario = parse_scenario(path)
-    base = path.parent
-
-    def _profile(ref: str) -> Profile:
-        ref_path = base / ref
-        if not ref_path.exists():
-            raise FileNotFoundError(f"profile file not found: {ref_path}")
-        return load_profile(ref_path)
-
-    return scenario, _profile(scenario.pv_profile), _profile(scenario.load_profile)
+    pv = load_profile(path.parent / scenario.pv_profile)
+    return scenario, pv, load_profile(path.parent / scenario.load_profile)
 
 
 def _format(value: float) -> str:

@@ -97,12 +97,15 @@ def test_soc_clamps_print_nothing_on_stderr(tmp_path, load_rows, status, err):
 
 
 def test_run_missing_profile_names_path(tmp_path, capsys):
-    cfg = tmp_path / "broken.cfg"
-    cfg.write_text(
-        "pv_profile = missing.csv\nload_profile = missing.csv\nsoc_init_pct = 50\n"
-    )
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert "missing.csv" in capsys.readouterr().err
+    # A reference to nothing, then one to a directory: open() raises for both.
+    (tmp_path / "profiles").mkdir()
+    for ref in ("missing.csv", "profiles"):
+        cfg = tmp_path / "broken.cfg"
+        cfg.write_text(f"pv_profile = {ref}\nload_profile = {ref}\nsoc_init_pct = 50\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and str(tmp_path / ref) in lines[0]
 
 
 def test_nan_in_profile_is_one_error_line(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import subprocess
@@ -177,7 +176,8 @@ class TestNumpyReaderFallback:
 
 
 class TestNumpyReaderRoute:
-    """numpy reads a regular file by its path; every other source gets the text."""
+    """numpy reads a regular file by its path; the line loop parses every
+    other source."""
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_text_with_a_compression_suffix(self, tmp_path, suffix):
@@ -230,7 +230,7 @@ class TestNumpyReaderRoute:
         assert profile.power_w.tolist() == [1.0, 2.0]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_pipe_is_read_from_memory(self):
+    def test_pipe_is_read_by_the_line_loop(self):
         read_fd, write_fd = os.pipe()
         with open(write_fd, "w", encoding="utf-8") as writer:
             writer.write(profile_text(["0,1", "60,2"]))
@@ -239,8 +239,7 @@ class TestNumpyReaderRoute:
                 profile = load_profile(f"/dev/fd/{read_fd}")
         finally:
             os.close(read_fd)
-        (source,) = spy.call_args.args
-        assert isinstance(source, io.BytesIO)
+        spy.assert_not_called()
         assert profile.power_w.tolist() == [1.0, 2.0]
 
     def test_relative_path_that_parses_as_a_url(self, tmp_path, monkeypatch):
@@ -479,6 +478,12 @@ class TestParseScenario:
         text = "# comment\n\n" + self.MINIMAL
         assert parse_scenario(text_file(text)).soc_init_pct == 60.0
 
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_only_cr_and_lf_end_a_line(self, text_file, separator):
+        text = self.MINIMAL + f"load_multiplier = 4{separator}\nbogus\n"
+        with pytest.raises(ParseError, match="^line 5: "):
+            parse_scenario(text_file(text))
+
 
 class TestScenarioRoundTrip:
     def test_default_params(self, text_file):
@@ -603,6 +608,13 @@ class TestLoadScenario:
             "pv_profile = nope.csv\nload_profile = nope.csv\nsoc_init_pct = 50\n"
         )
         with pytest.raises(FileNotFoundError, match="nope.csv"):
+            load_scenario(tmp_path / "sc.cfg")
+
+    def test_nul_in_profile_reference_rejected(self, tmp_path):
+        (tmp_path / "sc.cfg").write_text(
+            "pv_profile = a\x00b.csv\nload_profile = load.csv\nsoc_init_pct = 50\n"
+        )
+        with pytest.raises(ValidationError, match="must not hold NUL"):
             load_scenario(tmp_path / "sc.cfg")
 
     def test_bundled_name_resolves(self):

@@ -2,13 +2,15 @@
 
     python scripts/reach.py
 
-Runs ``python -m nanogrid_ems`` in-process under the standard library's
-``trace`` module: ``run`` on every bundled scenario under each
-controller, through copies of the configs cut to ``duration_s = 600``;
-``compare`` on one of those copies; ``run`` on a 60 s scenario that
-clamps the SOC; ``run`` on that scenario with a plain-text profile named
-``*.gz``, which numpy would decompress by its name, so the line loop
-parses its text; ``dump-fis``; and ``run`` on a missing scenario.
+Runs ``python -m nanogrid_ems.cli --version``, which reaches the
+module's own ``__main__`` block, then ``python -m nanogrid_ems``, both
+in-process under the standard library's ``trace`` module: ``run`` on
+every bundled scenario under each controller, through copies of the
+configs cut to ``duration_s = 600``; ``compare`` on one of those
+copies; ``run`` on a 60 s scenario that clamps the SOC; ``run`` on that
+scenario with a plain-text profile named ``*.gz``, which numpy would
+decompress by its name, so the line loop parses its text; ``dump-fis``;
+and ``run`` on a missing scenario.
 The package is imported under the tracer, so its module-level lines
 count. The script then prints every line of ``src/nanogrid_ems`` that
 holds code, never ran and is not part of a ``raise`` statement, as
@@ -30,18 +32,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "nanogrid_ems"
+CLI = "nanogrid_ems"
 DURATION_S = 600
 # The marker trace.CoverageResults writes before a line that never ran.
 MISSING = ">>>>>> "
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    """``python -m nanogrid_ems ARGV`` in this process: (status, stderr)."""
+def _run(module: str, argv: list[str]) -> tuple[int, str]:
+    """``python -m MODULE ARGV`` in this process: (status, stderr)."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    saved, sys.argv = sys.argv, ["nanogrid_ems", *argv]
+    saved, sys.argv = sys.argv, [module, *argv]
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            runpy.run_module("nanogrid_ems", run_name="__main__", alter_sys=True)
+            runpy.run_module(module, run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         return exc.code, stderr.getvalue()
     finally:
@@ -55,7 +58,9 @@ def exercise(work: Path) -> list[str]:
     from nanogrid_ems.profiles import data_dir
 
     out = str(work / "out")
-    commands = []
+    # This runs first: runpy warns when it runs a module already imported,
+    # and every later command imports nanogrid_ems.cli.
+    commands = [("nanogrid_ems.cli", ["--version"], 0)]
     for bundled in sorted(data_dir().glob("*.cfg")):
         lines = []
         for line in bundled.read_text(encoding="utf-8").splitlines():
@@ -68,8 +73,9 @@ def exercise(work: Path) -> list[str]:
         cfg = work / bundled.name
         cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
         for kind in CONTROLLER_KINDS:
-            commands.append((["run", str(cfg), "--out", out, "--controller", kind], 0))
-    commands.append((["compare", str(cfg), "--out", out], 0))
+            argv = ["run", str(cfg), "--out", out, "--controller", kind]
+            commands.append((CLI, argv, 0))
+    commands.append((CLI, ["compare", str(cfg), "--out", out], 0))
     # No bundled scenario clamps the SOC in its first 600 s, and no bundled
     # config holds a comment; this config does both.
     (work / "zero.csv").write_text("t_s,power_w\n0,0\n60,0\n", encoding="utf-8")
@@ -81,22 +87,22 @@ def exercise(work: Path) -> list[str]:
         "soc_init_pct = 0\nduration_s = 60\n",
         encoding="utf-8",
     )
-    commands.append((["run", str(clamp), "--out", out], 0))
+    commands.append((CLI, ["run", str(clamp), "--out", out], 0))
     (work / "zero.gz").write_text("t_s,power_w\n0,0\n60,0\n", encoding="utf-8")
     gz = work / "gz.cfg"
     gz.write_text(
         clamp.read_text(encoding="utf-8").replace("zero.csv", "zero.gz"),
         encoding="utf-8",
     )
-    commands.append((["run", str(gz), "--out", out], 0))
-    commands.append((["dump-fis", "--out", str(work / "out" / "fis.cfg")], 0))
-    commands.append((["run", str(work / "missing.cfg"), "--out", out], 1))
+    commands.append((CLI, ["run", str(gz), "--out", out], 0))
+    commands.append((CLI, ["dump-fis", "--out", str(work / "out" / "fis.cfg")], 0))
+    commands.append((CLI, ["run", str(work / "missing.cfg"), "--out", out], 1))
 
     failures = []
-    for argv, expected in commands:
-        status, stderr = _run(argv)
+    for module, argv, expected in commands:
+        status, stderr = _run(module, argv)
         if status != expected:
-            failures.append(f"{' '.join(argv)}: exit {status}: {stderr}")
+            failures.append(f"{module} {' '.join(argv)}: exit {status}: {stderr}")
     return failures
 
 

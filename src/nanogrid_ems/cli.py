@@ -87,8 +87,7 @@ def cmd_dump_fis(args) -> int:
     text = render_fuzzy_systems([ems.overcharge_guard, ems.depletion_guard])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    out.write_text(text, encoding="utf-8", newline="\n")
     return 0
 
 

@@ -52,19 +52,10 @@ class NanogridParams:
             raise ValidationError(
                 "SOC thresholds must be ordered 0 <= min < min+10 < max <= 100"
             )
-        positive = (
-            self.p_pv_rating_w,
-            self.p_aux_rating_w,
-            self.c_bat_ah,
-            self.v_bat_v,
-            self.p_charge_max_w,
-            self.p_discharge_max_w,
-            self.omega_nom_rad_s,
-            self.m_pv_rad_s_per_w,
-            self.m_aux_rad_s_per_w,
-        )
-        if any(v <= 0 for v in positive):
-            raise ValidationError("ratings, limits and droop slopes must be positive")
+        # Every field but the SOC thresholds is a rating, limit or slope.
+        for f in fields(self):
+            if not f.name.endswith("_pct") and getattr(self, f.name) <= 0:
+                raise ValidationError("ratings, limits and droop slopes must be positive")
         # Products of positive finite values can still underflow to 0 or
         # overflow to inf.
         for name in ("d_omega_plus_max", "d_omega_minus_max"):
@@ -172,24 +163,32 @@ def build_guard_system(name: str, span: float) -> FuzzySystem:
     return FuzzySystem(name, (soc_margin, power_margin), output, rules)
 
 
-def _calibration(
-    system: FuzzySystem, name: str, bound: float
-) -> tuple[float, float, float]:
-    """(zero centroid, large - zero centroid span, shift bound) of one guard.
+def _guard(name: str, bound_name: str, bound: float):
+    """``(system, shift)``: one guard of width ``abs(bound)`` and its shift.
 
-    ``name`` is the bound's, for the error raised when the sampled
-    centroids of a guard of that width overflow or collapse.
+    ``shift(x1, x2)`` maps the zero and large terms' centroids to 0 and 1,
+    clamps with min(1.0, max(0.0, x))'s comparisons written out, and
+    scales by ``bound``.  ``bound_name`` is named in the error raised when
+    the sampled centroids overflow or collapse.
     """
+    width = abs(bound)
+    system = build_guard_system(name, width)
     c0 = system.term_centroid("zero")
     c1 = system.term_centroid("large")
     span = c1 - c0
     if not (math.isfinite(c0) and math.isfinite(c1) and 0.0 < span < math.inf):
         raise ValidationError(
-            f"{name} = {bound!r} gives {system.name} a zero centroid of {c0!r}"
+            f"{bound_name} = {width!r} gives {name} a zero centroid of {c0!r}"
             f" and a large centroid of {c1!r}; both must be finite, the large"
             " one the larger"
         )
-    return c0, span, bound
+
+    def shift(x1: float, x2: float) -> float:
+        x = (system.infer(x1, x2) - c0) / span
+        x = x if x > 0.0 else 0.0
+        return bound * (x if x < 1.0 else 1.0)
+
+    return system, shift
 
 
 class FuzzyEms:
@@ -198,39 +197,23 @@ class FuzzyEms:
     Raw centroids of a Mamdani system cannot reach the ends of the output
     universe, so each guard output is passed through an affine calibration
     that pins the all-zero aggregate to exactly 0 and the all-large
-    aggregate to exactly the shift bound.
+    aggregate to exactly the shift bound.  ``shift_plus(d_soc_high,
+    d_charge)`` is the upward shift in [0, d_omega_plus_max] driving PV
+    curtailment; ``shift_minus(d_soc_low, d_discharge)`` is the downward
+    shift in [-d_omega_minus_max, 0] driving auxiliary dispatch.
     """
 
     def __init__(self, params: NanogridParams):
         self.params = params
-        self.overcharge_guard = build_guard_system(
-            "overcharge_guard", params.d_omega_plus_max
+        # Negating the bound once equals negating every shift: -(b * c) is
+        # (-b) * c bit for bit.
+        self.overcharge_guard, self.shift_plus = _guard(
+            "overcharge_guard", "d_omega_plus_max", params.d_omega_plus_max
         )
-        self.depletion_guard = build_guard_system(
-            "depletion_guard", params.d_omega_minus_max
-        )
-        self._plus_cal = _calibration(
-            self.overcharge_guard, "d_omega_plus_max", params.d_omega_plus_max
-        )
-        self._minus_cal = _calibration(
-            self.depletion_guard, "d_omega_minus_max", params.d_omega_minus_max
+        self.depletion_guard, self.shift_minus = _guard(
+            "depletion_guard", "d_omega_minus_max", -params.d_omega_minus_max
         )
         self._margins = _margins(params)
-
-    # Each shift clamps with min(1.0, max(0.0, x))'s comparisons written out.
-    def shift_plus(self, d_soc_high: float, d_charge: float) -> float:
-        """Upward shift in [0, d_omega_plus_max] driving PV curtailment."""
-        c0, span, bound = self._plus_cal
-        x = (self.overcharge_guard.infer(d_soc_high, d_charge) - c0) / span
-        x = x if x > 0.0 else 0.0
-        return bound * (x if x < 1.0 else 1.0)
-
-    def shift_minus(self, d_soc_low: float, d_discharge: float) -> float:
-        """Downward shift in [-d_omega_minus_max, 0] driving auxiliary dispatch."""
-        c0, span, bound = self._minus_cal
-        x = (self.depletion_guard.infer(d_soc_low, d_discharge) - c0) / span
-        x = x if x > 0.0 else 0.0
-        return -(bound * (x if x < 1.0 else 1.0))
 
     def step(self, soc_pct: float, p_bat_w: float) -> tuple[float, float, float]:
         """``(d_omega_plus, d_omega_minus, omega_cmd)``; p_bat_w > 0 is charging."""

@@ -212,14 +212,10 @@ class FuzzySystem:
 
     def term_centroid(self, term: str) -> float:
         """Centroid of one output term alone, on the same sample grid as infer."""
-        return self._term_centroid(self.output.term_names().index(term))
-
-    def _term_centroid(self, k: int) -> float:
-        centroid = self._term_centroids[k]
+        centroid = self._term_centroids[self.output.term_names().index(term)]
         if centroid is None:
             raise EmptyAggregate(
-                f"term {self.output.terms[k][0]!r} of {self.name!r} "
-                "has no mass on the sample grid"
+                f"term {term!r} of {self.name!r} has no mass on the sample grid"
             )
         return centroid
 
@@ -242,7 +238,7 @@ class FuzzySystem:
                 raise EmptyAggregate(
                     f"aggregate of {self.name!r} integrates to ~0 at ({x1}, {x2})"
                 )
-            return self._term_centroid(k)
+            return self._term_centroids[k]
 
         values = self._term_values
         aggregate = strengths[active[0]] * values[active[0]]

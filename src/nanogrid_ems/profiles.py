@@ -1,6 +1,7 @@
 """File formats: power profiles, scenario configs, traces, summaries.
 
-All formats are plain text, UTF-8, LF newlines, locale-independent.
+All formats are plain text, UTF-8 and locale-independent.  Outputs end
+each line with LF; inputs end a line at LF, CRLF or CR.
 Profiles are time-value tables with linear interpolation between samples
 so that measured data can be substituted for the bundled curves.
 """
@@ -230,10 +231,8 @@ def write_outputs(
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"{basename}_trace.csv"
     summary_path = out / f"{basename}_summary.txt"
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_trace(trace))
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_summary(metrics))
+    trace_path.write_text(render_trace(trace), encoding="utf-8", newline="\n")
+    summary_path.write_text(render_summary(metrics), encoding="utf-8", newline="\n")
     return trace_path, summary_path
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from functools import cache
 
 import pytest
@@ -64,9 +65,14 @@ class TestParams:
         with pytest.raises(ValidationError):
             NanogridParams(**overrides)
 
-    def test_positive_ratings_enforced(self):
-        with pytest.raises(ValidationError):
-            NanogridParams(p_pv_rating_w=0.0)
+    # Every field but the three SOC thresholds is a rating, limit or slope.
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(NanogridParams) if not f.name.endswith("_pct")]
+    )
+    def test_positive_ratings_enforced(self, name, value):
+        with pytest.raises(ValidationError, match="must be positive"):
+            NanogridParams(**{name: value})
 
 
 class TestNormalizations:

@@ -198,14 +198,17 @@ class TestInfer:
 
     def test_term_with_no_sample_mass_raises(self):
         # A spike far narrower than the sample spacing never lands on the
-        # midpoint grid, so its centroid is undefined there.
+        # midpoint grid, so its centroid is undefined there.  infer's mass
+        # threshold rejects the lone term before its centroid is read.
         system = make_system(
             [Rule((("a", "low"), ("b", "low")), "spike")],
             out_terms=(("spike", triangular(0.5, 0.5, 0.5)),),
             resolution=10,
         )
-        with pytest.raises(EmptyAggregate):
+        with pytest.raises(EmptyAggregate, match="integrates to ~0"):
             system.infer(0.0, 0.0)
+        with pytest.raises(EmptyAggregate, match="has no mass"):
+            system.term_centroid("spike")
 
     def test_output_stays_in_universe_on_grid(self):
         system = make_system(

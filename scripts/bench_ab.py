@@ -17,7 +17,7 @@ library is used, and numpy where ``--load`` writes its inputs.
 
 ``--step KIND`` times the closed loop alone, with the same pairing and
 statistics: each run is a fresh interpreter on the side's ``src/`` that
-takes the best of 3 ``run_scenario`` calls on every bundled scenario under
+takes the best of 10 ``run_scenario`` calls on every bundled scenario under
 controller KIND, and reports microseconds per step over all of them and a
 sha256 of every trace column. The mode fails unless every run of both
 sides gives the same digest. Its output is a ``step_ab`` block.
@@ -58,7 +58,7 @@ for path in sorted(data_dir().glob("*.cfg")):
     scenario, pv, load = load_scenario(path)
     scenario = replace(scenario, controller=sys.argv[1])
     best = float("inf")
-    for _ in range(3):
+    for _ in range(10):
         started = time.perf_counter()
         trace = run_scenario(scenario, pv, load)
         best = min(best, time.perf_counter() - started)
@@ -96,7 +96,7 @@ FRESH_MODES = {
         "digest": "trace_sha256",
         "timed": (
             "run_scenario on every bundled scenario (43 200 steps each) with the"
-            " controller replaced by each kind, best of 3 calls per scenario, their"
+            " controller replaced by each kind, best of 10 calls per scenario, their"
             " sum divided by the total step count"
         ),
         "hashed": "every trace column of every scenario",

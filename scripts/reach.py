@@ -2,12 +2,12 @@
 
     python scripts/reach.py
 
-Runs ``python -m nanogrid_ems.cli --version``, which reaches the
-module's own ``__main__`` block, then ``python -m nanogrid_ems``, both
-in-process under the standard library's ``trace`` module: ``run`` on
-every bundled scenario under each controller, through copies of the
-configs cut to ``duration_s = 600``; ``compare`` on one of those
-copies; ``run`` on a 60 s scenario that clamps the SOC; ``run`` on that
+Runs ``python -m nanogrid_ems`` in-process under the standard library's
+``trace`` module: ``run`` on every bundled scenario under each
+controller, through copies of the configs cut to ``duration_s = 600``;
+``compare`` on one of those copies; ``run stress_charge --controller
+proportional``, a bundled scenario by its bare name (12 h, about 4 s
+traced); ``run`` on a 60 s scenario that clamps the SOC; ``run`` on that
 scenario with a plain-text profile named ``*.gz``, which numpy would
 decompress by its name, so the line loop parses its text; ``dump-fis``;
 and ``run`` on a missing scenario.
@@ -58,9 +58,7 @@ def exercise(work: Path) -> list[str]:
     from nanogrid_ems.profiles import data_dir
 
     out = str(work / "out")
-    # This runs first: runpy warns when it runs a module already imported,
-    # and every later command imports nanogrid_ems.cli.
-    commands = [("nanogrid_ems.cli", ["--version"], 0)]
+    commands = []
     for bundled in sorted(data_dir().glob("*.cfg")):
         lines = []
         for line in bundled.read_text(encoding="utf-8").splitlines():
@@ -76,6 +74,8 @@ def exercise(work: Path) -> list[str]:
             argv = ["run", str(cfg), "--out", out, "--controller", kind]
             commands.append((CLI, argv, 0))
     commands.append((CLI, ["compare", str(cfg), "--out", out], 0))
+    argv = ["run", "stress_charge", "--out", out, "--controller", "proportional"]
+    commands.append((CLI, argv, 0))
     # No bundled scenario clamps the SOC in its first 600 s, and no bundled
     # config holds a comment; this config does both.
     (work / "zero.csv").write_text("t_s,power_w\n0,0\n60,0\n", encoding="utf-8")

@@ -36,11 +36,10 @@ _COMPARE_COLUMNS = (
 )
 
 
-def _run_one(loaded, controller_override, out_dir):
-    """Run one loaded ``(scenario, pv, load)``, write its files, return its metrics."""
+def _run_one(loaded, kind, out_dir):
+    """Run ``loaded`` under controller ``kind``, write its files, return its metrics."""
     scenario, pv, load = loaded
-    if controller_override is not None:
-        scenario = replace(scenario, controller=controller_override)
+    scenario = replace(scenario, controller=kind)
     trace = run_scenario(scenario, pv, load)
     metrics = summarize(trace, scenario.params, scenario.dt_s)
     write_outputs(trace, metrics, out_dir, f"{scenario.name}_{scenario.controller}")
@@ -48,7 +47,8 @@ def _run_one(loaded, controller_override, out_dir):
 
 
 def cmd_run(args) -> int:
-    metrics = _run_one(load_scenario(args.scenario), args.controller, args.out)
+    loaded = load_scenario(args.scenario)
+    metrics = _run_one(loaded, args.controller or loaded[0].controller, args.out)
     sys.stdout.write(render_summary(metrics))
     return 0
 
@@ -56,10 +56,10 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     # Both controllers run on the same parsed profiles.
     loaded = load_scenario(args.scenario)
-    rows = []
+    table = [_COMPARE_COLUMNS]
     for kind in CONTROLLER_KINDS:
         metrics = _run_one(loaded, kind, args.out)
-        rows.append(
+        table.append(
             (
                 kind,
                 str(metrics.violations_charge),
@@ -70,15 +70,9 @@ def cmd_compare(args) -> int:
                 f"{metrics.charging_fraction:.6g}",
             )
         )
-    widths = [
-        max(len(col), *(len(row[i]) for row in rows))
-        for i, col in enumerate(_COMPARE_COLUMNS)
-    ]
-    header = "  ".join(col.ljust(w) for col, w in zip(_COMPARE_COLUMNS, widths))
-    sys.stdout.write(header.rstrip() + "\n")
-    for row in rows:
-        line = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-        sys.stdout.write(line.rstrip() + "\n")
+    widths = [max(map(len, col)) for col in zip(*table)]
+    for row in table:
+        sys.stdout.write("  ".join(map(str.ljust, row, widths)).rstrip() + "\n")
     return 0
 
 
@@ -129,7 +123,3 @@ def main(argv=None) -> int:
     except (NanogridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

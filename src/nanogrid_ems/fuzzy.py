@@ -35,9 +35,9 @@ from .errors import EmptyAggregate
 AND = "and"
 OR = "or"
 
-# Aggregates whose sample sum falls below this share of the sample count (an
-# integral below this share of the output width) are a rule-base coverage bug.
-_EMPTY_INTEGRAL = 1e-12
+SAMPLES = 1001  # midpoint samples of every output universe
+# An aggregate summing under 1e-12 per sample is a rule-base coverage bug.
+_EMPTY_SUM = 1e-12 * SAMPLES
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,10 @@ class FuzzySystem:
     inputs: tuple[LinguisticVariable, LinguisticVariable]
     output: LinguisticVariable
     rules: tuple[Rule, ...]
-    resolution: int = 1001
 
     def __post_init__(self):
         if len(self.inputs) != 2:
             raise ValueError("exactly two input variables are supported")
-        if self.resolution < 3:
-            raise ValueError("resolution must be at least 3")
         by_name = {v.name: v for v in self.inputs}
         if len(by_name) != 2:
             raise ValueError("input variables must have distinct names")
@@ -194,9 +191,8 @@ class FuzzySystem:
         exec("\n".join(lines), namespace)
         self._strengths = namespace["strengths"]
 
-        n = self.resolution
-        dx = (self.output.hi - self.output.lo) / n
-        xs = self.output.lo + (np.arange(n, dtype=float) + 0.5) * dx
+        dx = (self.output.hi - self.output.lo) / SAMPLES
+        xs = self.output.lo + (np.arange(SAMPLES, dtype=float) + 0.5) * dx
         self._xs = xs
         self._term_values = tuple(
             np.array([mf_eval(mf, float(x)) for x in xs]) for _, mf in self.output.terms
@@ -234,7 +230,7 @@ class FuzzySystem:
             # A uniformly scaled term keeps its centroid; evaluating it on the
             # unscaled samples avoids spurious last-ulp drift.
             k = active[0]
-            if strengths[k] * self._term_masses[k] < _EMPTY_INTEGRAL * self.resolution:
+            if strengths[k] * self._term_masses[k] < _EMPTY_SUM:
                 raise EmptyAggregate(
                     f"aggregate of {self.name!r} integrates to ~0 at ({x1}, {x2})"
                 )
@@ -246,7 +242,7 @@ class FuzzySystem:
             np.maximum(aggregate, strengths[k] * values[k], out=aggregate)
 
         total = float(aggregate.sum())
-        if total < _EMPTY_INTEGRAL * self.resolution:
+        if total < _EMPTY_SUM:
             raise EmptyAggregate(
                 f"aggregate of {self.name!r} integrates to ~0 at ({x1}, {x2})"
             )

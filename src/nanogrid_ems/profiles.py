@@ -29,7 +29,7 @@ from .engine import (
     Trace,
 )
 from .errors import ParseError, ValidationError
-from .fuzzy import FuzzySystem, MembershipFunction
+from .fuzzy import SAMPLES, FuzzySystem, MembershipFunction
 
 PROFILE_HEADER = "t_s,power_w"
 
@@ -248,7 +248,7 @@ def render_fuzzy_systems(systems: list[FuzzySystem]) -> str:
     for i, system in enumerate(systems):
         p = f"fis.{i}"
         lines.append(f"{p}.name = {system.name}")
-        lines.append(f"{p}.resolution = {system.resolution}")
+        lines.append(f"{p}.resolution = {SAMPLES}")
         for j, var in enumerate(list(system.inputs) + [system.output]):
             v = f"{p}.output" if j == 2 else f"{p}.input.{j}"
             lines.append(f"{v}.name = {var.name}")

@@ -13,7 +13,13 @@ from dataclasses import fields
 from nanogrid_ems.controller import NanogridParams
 from nanogrid_ems.engine import Scenario
 from nanogrid_ems.errors import ValidationError
-from nanogrid_ems.fuzzy import FuzzySystem, LinguisticVariable, MembershipFunction, Rule
+from nanogrid_ems.fuzzy import (
+    SAMPLES,
+    FuzzySystem,
+    LinguisticVariable,
+    MembershipFunction,
+    Rule,
+)
 from nanogrid_ems.profiles import _open_text, _parse_kv
 
 
@@ -95,6 +101,8 @@ def parse_fuzzy_systems(path) -> list[FuzzySystem]:
         systems = []
         for i in range(count):
             p = f"fis.{i}"
+            if int(pairs[f"{p}.resolution"]) != SAMPLES:
+                raise ValueError(f"{p}.resolution is not {SAMPLES}")
             inputs = (
                 _parse_variable(pairs, f"{p}.input.0"),
                 _parse_variable(pairs, f"{p}.input.1"),
@@ -111,7 +119,6 @@ def parse_fuzzy_systems(path) -> list[FuzzySystem]:
                     inputs=inputs,
                     output=output,
                     rules=tuple(rules),
-                    resolution=int(pairs[f"{p}.resolution"]),
                 )
             )
     except (KeyError, ValueError) as exc:

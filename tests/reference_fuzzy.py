@@ -9,6 +9,7 @@ sampled inference so the compiled one can be checked to the bit."""
 import numpy as np
 
 from nanogrid_ems.errors import EmptyAggregate
+from nanogrid_ems.fuzzy import SAMPLES
 
 from fis_dump import term
 
@@ -113,7 +114,7 @@ def _fuzzify_seed(var, x):
 def _sampled_seed(system):
     global _seed_cache
     if _seed_cache is None or _seed_cache[0] is not system:
-        n = system.resolution
+        n = SAMPLES
         dx = (system.output.hi - system.output.lo) / n
         xs = system.output.lo + (np.arange(n, dtype=float) + 0.5) * dx
         term_values = {
@@ -159,7 +160,7 @@ def infer_sampled_seed(system, x1, x2):
     if len(active) == 1:
         term, strength = active[0]
         values = term_values[term]
-        if strength * float(values.sum()) < _EMPTY_INTEGRAL * system.resolution:
+        if strength * float(values.sum()) < _EMPTY_INTEGRAL * SAMPLES:
             raise EmptyAggregate(
                 f"aggregate of {system.name!r} integrates to ~0 at ({x1}, {x2})"
             )
@@ -174,7 +175,7 @@ def infer_sampled_seed(system, x1, x2):
             np.maximum(aggregate, scaled, out=aggregate)
 
     total = float(aggregate.sum())
-    if total < _EMPTY_INTEGRAL * system.resolution:
+    if total < _EMPTY_INTEGRAL * SAMPLES:
         raise EmptyAggregate(
             f"aggregate of {system.name!r} integrates to ~0 at ({x1}, {x2})"
         )

@@ -350,6 +350,20 @@ def test_compare_dead_network_all_zero_summaries(dead_scenario, tmp_path, capsys
             assert float(values[field]) == 0.0
 
 
+def test_compare_table_layout(dead_scenario, tmp_path, capsys):
+    # Each column is as wide as its widest cell, the header included; cells
+    # are two spaces apart and no line ends in a space.
+    assert main(["compare", str(dead_scenario), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == (
+        "controller    violations_charge  violations_discharge  soc_min_pct"
+        "  soc_max_pct  max_abs_p_bat_w  charging_fraction\n"
+        "flc           0                  0                     60         "
+        "  60           0                0\n"
+        "proportional  0                  0                     60         "
+        "  60           0                0\n"
+    )
+
+
 def test_compare_heavy_load_scenario_table(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["compare", "scenario2_low_soc_4x", "--out", str(out)]) == 0

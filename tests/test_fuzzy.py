@@ -32,7 +32,7 @@ def make_variable(name="x", terms=STANDARD_TERMS):
     return LinguisticVariable(name, 0.0, 1.0, terms)
 
 
-def make_system(rules, out_terms=None, resolution=1001):
+def make_system(rules, out_terms=None):
     output = LinguisticVariable(
         "out",
         0.0,
@@ -44,9 +44,8 @@ def make_system(rules, out_terms=None, resolution=1001):
             ("hi", triangular(0.6, 1.0, 1.0)),
         ),
     )
-    return FuzzySystem(
-        "sys", (make_variable("a"), make_variable("b")), output, tuple(rules), resolution
-    )
+    inputs = (make_variable("a"), make_variable("b"))
+    return FuzzySystem("sys", inputs, output, tuple(rules))
 
 
 class TestMembership:
@@ -197,13 +196,13 @@ class TestInfer:
             system.infer(1.0, 1.0)
 
     def test_term_with_no_sample_mass_raises(self):
-        # A spike far narrower than the sample spacing never lands on the
-        # midpoint grid, so its centroid is undefined there.  infer's mass
-        # threshold rejects the lone term before its centroid is read.
+        # A zero-width spike between two midpoints (0.25 lies between
+        # 249.5 / 1001 and 250.5 / 1001) never lands on the sample grid, so its
+        # centroid is undefined there.  infer's mass threshold rejects the lone
+        # term before its centroid is read.
         system = make_system(
             [Rule((("a", "low"), ("b", "low")), "spike")],
-            out_terms=(("spike", triangular(0.5, 0.5, 0.5)),),
-            resolution=10,
+            out_terms=(("spike", triangular(0.25, 0.25, 0.25)),),
         )
         with pytest.raises(EmptyAggregate, match="integrates to ~0"):
             system.infer(0.0, 0.0)
@@ -391,8 +390,7 @@ def general_systems(draw):
         for _ in range(draw(st.integers(1, 9)))
     )
     inputs = (a, b) if draw(st.booleans()) else (b, a)
-    resolution = draw(st.integers(3, 2001))
-    return FuzzySystem("general", inputs, output, rules, resolution)
+    return FuzzySystem("general", inputs, output, rules)
 
 
 def crisp_inputs(var):
@@ -427,13 +425,14 @@ class TestCompiledMatchesSeed:
             assert_same_as_seed(system, x1, x2)
 
     def test_threshold_scales_with_resolution(self):
-        # Sample sum 1.5 times this weight is 2.2e-12, under 1e-12 per sample
-        # at resolution 3, though the integral (1.44e-12) clears 1e-12.
+        # The term's samples sum to 500.5, so this weight gives a sample sum of
+        # 7.5e-10, under 1e-12 per sample (1.001e-9 at SAMPLES = 1001), though
+        # the integral (1.5e-12) clears 1e-12.
         a = LinguisticVariable("a", 0.0, 1.0, (("a0", triangular(0.0, 0.0, 1.0)),))
         b = LinguisticVariable("b", 0.0, 1.0, (("b0", triangular(0.0, 0.0, 1.0)),))
         out = LinguisticVariable("out", 0.0, 2.0, (("out0", triangular(0.0, 0.0, 2.0)),))
-        rule = Rule((("a", "a0"),), "out0", AND, 1.4432468027746886e-12)
-        system = FuzzySystem("thin", (a, b), out, (rule,), resolution=3)
+        rule = Rule((("a", "a0"),), "out0", AND, 1.5e-12)
+        system = FuzzySystem("thin", (a, b), out, (rule,))
         with pytest.raises(EmptyAggregate, match="integrates to ~0"):
             system.infer(0.0, 0.0)
         assert_same_as_seed(system, 0.0, 0.0)

@@ -651,3 +651,13 @@ class TestFuzzySystemDump:
     def test_missing_keys_rejected(self, text_file):
         with pytest.raises(ValidationError):
             parse_fuzzy_systems(text_file("fis.count = 1\n"))
+
+    @pytest.mark.parametrize("value", ["3", "1000", "1002"])
+    def test_other_resolution_rejected(self, text_file, params, value):
+        # Every system samples its output on the same 1 001 midpoints.
+        ems = FuzzyEms(params)
+        text = render_fuzzy_systems([ems.overcharge_guard, ems.depletion_guard])
+        assert "fis.0.resolution = 1001\n" in text
+        broken = text.replace("fis.0.resolution = 1001", f"fis.0.resolution = {value}")
+        with pytest.raises(ValidationError, match="resolution"):
+            parse_fuzzy_systems(text_file(broken))

@@ -21,6 +21,7 @@ import numpy as np
 
 from .controller import NanogridParams
 from .engine import (
+    BLOCK_ROWS,
     SUMMARY_FIELDS,
     TRACE_FIELDS,
     Profile,
@@ -201,15 +202,17 @@ def _format(value: float) -> str:
     return f"{value + 0.0:.6g}"
 
 
-_TRACE_ROW = ",".join(["%.6g"] * len(TRACE_FIELDS))
+_TRACE_HEADER = ",".join(TRACE_FIELDS) + "\n"
+_TRACE_ROW = ",".join(["%.6g"] * len(TRACE_FIELDS)) + "\n"
 
 
-def render_trace(trace: Trace) -> str:
+def render_trace(trace: Trace, start: int = 0, stop: int | None = None) -> str:
+    """Rows [start, stop) of the trace table, after its header when start is 0."""
     # The text of _format on every value, with its + 0.0 fold done per column.
-    columns = [(getattr(trace, f) + 0.0).tolist() for f in TRACE_FIELDS]
-    lines = [",".join(TRACE_FIELDS)]
+    columns = [(getattr(trace, f)[start:stop] + 0.0).tolist() for f in TRACE_FIELDS]
+    lines = [_TRACE_HEADER] if start == 0 else []
     lines.extend(_TRACE_ROW % row for row in zip(*columns))
-    return "\n".join(lines) + "\n"
+    return "".join(lines)
 
 
 def render_summary(metrics: SummaryMetrics) -> str:
@@ -226,12 +229,19 @@ def write_outputs(
     out_dir,
     basename: str,
 ) -> tuple[Path, Path]:
-    """Write one trace table and one summary document; byte-deterministic."""
+    """Write one trace table and one summary document; byte-deterministic.
+
+    The table is rendered and written BLOCK_ROWS rows at a time, so its
+    text never takes more memory than one block.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"{basename}_trace.csv"
     summary_path = out / f"{basename}_summary.txt"
-    trace_path.write_text(render_trace(trace), encoding="utf-8", newline="\n")
+    with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
+        # At least one block, so a trace of no rows still gets its header.
+        for start in range(0, max(len(trace), 1), BLOCK_ROWS):
+            fh.write(render_trace(trace, start, start + BLOCK_ROWS))
     summary_path.write_text(render_summary(metrics), encoding="utf-8", newline="\n")
     return trace_path, summary_path
 

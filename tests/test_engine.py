@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from nanogrid_ems.controller import NanogridParams
 from nanogrid_ems.engine import (
+    BLOCK_ROWS,
     MAX_STEPS,
+    TRACE_FIELDS,
     Profile,
     Scenario,
     SummaryMetrics,
@@ -239,6 +242,47 @@ class TestRunScenario:
             assert r.p_aux_w == 0.0 or r.omega_rad_s < nom
             replayed_soc = battery_soc_update(replayed_soc, r.p_bat_w, sc.dt_s, params)
             assert r.soc_pct == replayed_soc
+
+    def test_inputs_reach_their_steps_across_blocks(self):
+        # The loop reads its inputs BLOCK_ROWS at a time. Under ramps every
+        # step has its own PV and load, so an input read at the wrong step
+        # breaks the exact balance against the trace's columns.
+        n = 2 * BLOCK_ROWS + 1
+        sc = scenario(controller="proportional", duration_s=float(n))
+        ramp = np.array([0.0, float(n)])
+        trace = run_scenario(
+            sc,
+            Profile("pv", ramp, np.array([0.0, 2230.0])),
+            Profile("load", ramp, np.array([1500.0, 0.0])),
+        )
+        assert len(trace) == n
+        assert len(np.unique(trace.p_load_w)) == n
+        balance = trace.p_pv_w + trace.p_aux_w - trace.p_load_w - trace.p_bat_w
+        assert np.all(balance == 0.0)
+        assert np.all(trace.p_pv_w <= trace.p_pv_avail_w)
+
+    def test_memory_beyond_the_trace_columns_does_not_grow(self):
+        # Bound: less than 1 B per added step beyond the ten float64 trace
+        # columns. The loop turns its two input columns into Python floats
+        # BLOCK_ROWS rows at a time; turning them whole costs 64 B a step
+        # (a list pointer and a float object, twice), and a temporary
+        # column made by a product costs 8 B a step.
+        beyond = {}
+        for blocks in (4, 8):
+            n = blocks * BLOCK_ROWS
+            sc = scenario(controller="proportional", duration_s=float(n))
+            flat = np.array([0.0, float(n)])
+            pv = Profile("pv", flat, np.array([800.0, 800.0]))
+            load = Profile("load", flat, np.array([500.0, 500.0]))
+            tracemalloc.start()
+            try:
+                run_scenario(sc, pv, load)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            beyond[n] = peak - len(TRACE_FIELDS) * 8 * n
+        (n_small, small), (n_large, large) = sorted(beyond.items())
+        assert large - small < n_large - n_small
 
 
 class TestSummarize:

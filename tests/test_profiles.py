@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanogrid_ems.controller import FuzzyEms, NanogridParams
-from nanogrid_ems.engine import TRACE_FIELDS, Profile, Scenario, SummaryMetrics
+from nanogrid_ems.engine import (
+    BLOCK_ROWS,
+    TRACE_FIELDS,
+    Profile,
+    Scenario,
+    SummaryMetrics,
+    Trace,
+)
 from nanogrid_ems.errors import (
     ParseError,
     ProfileOutOfRange,
@@ -588,6 +596,46 @@ class TestWriteOutputs:
         row = render_trace(trace_of([record])).splitlines()[1].split(",")
         assert row[TRACE_FIELDS.index("d_omega_minus")] == "0"
         assert row[TRACE_FIELDS.index("p_bat_w")] == "0"
+
+    @staticmethod
+    def _random_trace(n):
+        rng = np.random.default_rng(n)
+        return Trace(**{f: rng.normal(0.0, 1000.0, n) for f in TRACE_FIELDS})
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1],
+    )
+    def test_blocks_write_the_whole_table(self, tmp_path, n):
+        trace = self._random_trace(n)
+        trace_path, _ = write_outputs(trace, self._metrics(), tmp_path, "x")
+        assert trace_path.read_bytes() == render_trace(trace).encode("utf-8")
+
+    @pytest.mark.parametrize("k", [1, 2, 12, 13])
+    def test_row_ranges_join_to_the_whole_table(self, k):
+        trace = self._random_trace(13)
+        whole = render_trace(trace)
+        assert render_trace(trace, 0, k) + render_trace(trace, k, 13) == whole
+        assert render_trace(trace, 0, k) == "".join(whole.splitlines(True)[: k + 1])
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        # Bound: less than 1 B per added row. Holding the whole table at
+        # once, as the value lists, the row strings and the joined text,
+        # costs ~630 B a row here, so doubling the rows would double the
+        # peak; block by block the peak is one block's text whatever the
+        # row count.
+        peaks = {}
+        for blocks in (4, 8):
+            n = blocks * BLOCK_ROWS
+            trace = self._random_trace(n)
+            tracemalloc.start()
+            try:
+                write_outputs(trace, self._metrics(), tmp_path, "x")
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        (n_small, small), (n_large, large) = sorted(peaks.items())
+        assert large - small < n_large - n_small
 
 
 class TestLoadScenario:

@@ -12,107 +12,49 @@ sides, the parent first when i is even, and keeps the metrics of the JSON
 line each run prints last; every run lasts BENCHMARK.json's run_seconds.
 The output is one JSON object: for every workload and metric, the raw
 values of both sides, their median, quartiles and IQR, how many pairs the
-change won and the change of the median in percent. Only the standard
-library is used, and numpy where ``--load`` writes its inputs.
+change won and the change of the median in percent. The script itself
+uses only the standard library.
 
-``--step KIND`` times the closed loop alone, with the same pairing and
-statistics: each run is a fresh interpreter on the side's ``src/`` that
-takes the best of 10 ``run_scenario`` calls on every bundled scenario under
-controller KIND, and reports microseconds per step over all of them and a
-sha256 of every trace column. The mode fails unless every run of both
-sides gives the same digest. Its output is a ``step_ab`` block.
-
-``--load`` times the profile reader alone, in the same way: it writes
-``perfbench/measured.py``'s inputs for ``--seed`` once, and each run is a
-fresh interpreter on the side's ``src/`` that takes the best of 3
-``load_scenario`` calls on them and a sha256 of both profiles' arrays. The
-mode fails unless every run of both sides gives the same digest. Its output
-is a ``load_ab`` block.
+``--step KIND`` times ``run_scenario`` on every whole bundled scenario
+(43 200 steps, so building the controller is under 1% of a call) with
+controller KIND, in microseconds per step: a ``step_ab`` block. ``--load``
+writes ``perfbench/measured.py``'s inputs for ``--seed`` once and times
+``load_scenario`` on them: a ``load_ab`` block. Both import the two sides'
+``src/nanogrid_ems`` into this interpreter under two package names, and a
+pair is at least ``TURNS`` turns: one call of each side, back to back,
+the parent first when i is even. A pair's ratio change/parent is the
+median over its turns, as the back-to-back calls see one phase of the
+machine. Each round hashes every returned array of each side (the trace
+columns, or both profiles' time and power arrays), and the mode fails
+unless all these digests are the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
-import os
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 
-# Run by ``--step`` in a fresh interpreter; prints one JSON line.
-STEP_RUN = """
-import hashlib, json, sys, time
-from dataclasses import replace
-from nanogrid_ems.engine import TRACE_FIELDS, run_scenario
-from nanogrid_ems.profiles import data_dir, load_scenario
+# The package name under which ``--step`` and ``--load`` import each side's
+# src/nanogrid_ems, so that both copies live in one interpreter.
+PACKAGES = {"parent": "parent_nanogrid_ems", "change": "change_nanogrid_ems"}
 
-seconds, steps, digest = 0.0, 0, hashlib.sha256()
-for path in sorted(data_dir().glob("*.cfg")):
-    scenario, pv, load = load_scenario(path)
-    scenario = replace(scenario, controller=sys.argv[1])
-    best = float("inf")
-    for _ in range(10):
-        started = time.perf_counter()
-        trace = run_scenario(scenario, pv, load)
-        best = min(best, time.perf_counter() - started)
-    seconds += best
-    steps += len(trace)
-    for name in TRACE_FIELDS:
-        digest.update(getattr(trace, name).tobytes())
-print(json.dumps({"value": 1e6 * seconds / steps, "digest": digest.hexdigest()}))
-"""
-
-# Run by ``--load`` in a fresh interpreter on a scenario config; prints one JSON line.
-LOAD_RUN = """
-import hashlib, json, sys, time
-from nanogrid_ems.profiles import load_scenario
-
-best = float("inf")
-for _ in range(3):
-    started = time.perf_counter()
-    scenario, pv, load = load_scenario(sys.argv[1])
-    best = min(best, time.perf_counter() - started)
-digest = hashlib.sha256()
-for profile in (pv, load):
-    digest.update(profile.t_s.tobytes())
-    digest.update(profile.power_w.tobytes())
-print(json.dumps({"value": best, "digest": digest.hexdigest()}))
-"""
-
-# The fresh-interpreter modes, by flag: the script that each run executes,
-# its unit and rounding, the name of its digest, and what it times and hashes.
-FRESH_MODES = {
-    "step": {
-        "script": STEP_RUN,
-        "unit": "us per step",
-        "digits": 3,
-        "digest": "trace_sha256",
-        "timed": (
-            "run_scenario on every bundled scenario (43 200 steps each) with the"
-            " controller replaced by each kind, best of 10 calls per scenario, their"
-            " sum divided by the total step count"
-        ),
-        "hashed": "every trace column of every scenario",
-    },
-    "load": {
-        "script": LOAD_RUN,
-        "unit": "s",
-        "digits": 4,
-        "digest": "profiles_sha256",
-        "timed": (
-            "load_scenario on perfbench/measured.py's measured_day inputs for seed"
-            " {seed} (two profiles of 432 001 rows, written once), best of 3 calls"
-        ),
-        "hashed": "the time and power arrays of both profiles",
-    },
-}
+# Turns in one ``--step`` or ``--load`` pair, at least, in whole rounds over
+# the timed calls. On a shared 2-CPU VM one call's time changed by 2x within
+# seconds, so a pair's ratio is the median over its turns (one call of each
+# side, back to back), not a ratio of sums.
+TURNS = 15
 
 
 def export(ref: str, dest: Path) -> Path:
@@ -152,16 +94,6 @@ def bench(checkout: Path, args) -> dict:
     newest = max(written, key=lambda path: path.stat().st_mtime)
     result["environment"] = json.loads(newest.read_text(encoding="utf-8"))["environment"]
     return result
-
-
-def fresh_run(checkout: Path, script: str, arg: str) -> dict:
-    """``script`` in a fresh interpreter on ``checkout``'s package: its JSON line."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    argv = [sys.executable, "-c", script, arg]
-    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.exit(f"error: run failed in {checkout}:\n{done.stderr}")
-    return json.loads(done.stdout)
 
 
 def measured_inputs(dest: Path, seed: int) -> Path:
@@ -243,25 +175,106 @@ def bench_report(runs: list[dict], args, spec: dict, better: dict[str, str]) -> 
     }
 
 
-def fresh_report(runs: list[dict], args, flag: str, entry: str) -> dict:
-    """The ``step_ab`` or ``load_ab`` block of fresh-interpreter runs; exits
-    unless every run of both sides gave the same digest."""
-    mode = FRESH_MODES[flag]
-    digests = {run[side]["digest"] for run in runs for side in SIDES}
-    if len(digests) != 1:
-        sys.exit(f"error: {mode['digest']} differs between runs: {sorted(digests)}")
-    digits = mode["digits"]
-    values = {side: [round(run[side]["value"], digits) for run in runs] for side in SIDES}
-    method = (
-        f"{mode['timed'].format(seed=args.seed)}; each measurement is a fresh"
-        f" interpreter with PYTHONPATH set to the side's src/; {args.pairs}"
-        " interleaved pairs, parent first in even-numbered pairs (0-based)."
-        f" parent: {args.parent}; change: the working tree. {mode['digest']}"
-        f" hashes {mode['hashed']}, the same on every run of both sides"
+def load_package(src: Path, name: str) -> None:
+    """Import ``src/nanogrid_ems`` and its submodules as the package ``name``."""
+    pkg = src / "nanogrid_ems"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
     )
-    result = compared(mode["unit"], values, lower=True)
-    result[mode["digest"]] = digests.pop()
-    return {f"{flag}_ab": {"method": method, entry: result}}
+    package = importlib.util.module_from_spec(spec)
+    # Registered first: the package's relative imports resolve through it.
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+
+
+def timed_calls(src: Path, name: str, args, config: Path | None) -> list:
+    """The calls that ``--step`` or ``--load`` times on the package in ``src``,
+    imported as ``name``; each returns the arrays that the digest hashes."""
+    load_package(src, name)
+    profiles = importlib.import_module(f"{name}.profiles")
+    if args.load:
+
+        def load():
+            _, pv, load = profiles.load_scenario(config)
+            return [pv.t_s, pv.power_w, load.t_s, load.power_w]
+
+        return [load]
+    engine = importlib.import_module(f"{name}.engine")
+    calls = []
+    # By path, as profiles.data_dir() names the package nanogrid_ems.
+    for path in sorted((src / "nanogrid_ems" / "data").glob("*.cfg")):
+        scenario, pv, load = profiles.load_scenario(path)
+        inputs = (replace(scenario, controller=args.step), pv, load)
+        # A Trace's attributes are its columns, in field order.
+        calls.append(lambda i=inputs: list(vars(engine.run_scenario(*i)).values()))
+    return calls
+
+
+def interleaved_report(checkouts: dict[str, Path], args, tmp: Path) -> dict:
+    """The ``step_ab`` or ``load_ab`` block of ``--step`` or ``--load``;
+    exits unless every round of both sides gave the same digest."""
+    config = measured_inputs(tmp / "inputs", args.seed) if args.load else None
+    calls = [
+        timed_calls(checkouts[side] / "src", PACKAGES[side], args, config)
+        for side in SIDES
+    ]
+    if args.load:
+        block, entry, digest = "load_ab", "measured_day", "profiles_sha256"
+        unit = "s per call"
+        timed = f"load_scenario on perfbench's measured_day inputs, seed {args.seed}"
+    else:
+        block, entry, digest = "step_ab", args.step, "trace_sha256"
+        unit = "us per step"
+        timed = f"run_scenario on every bundled scenario with controller {args.step}"
+    values: dict[str, list[float]] = {side: [] for side in SIDES}
+    ratio, digests = [], set()
+    rounds = -(-TURNS // len(calls[0]))
+    for i in range(args.pairs):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        seconds, turns, steps = [0.0, 0.0], [], 0
+        for _ in range(rounds):
+            hashes = [hashlib.sha256(), hashlib.sha256()]
+            for turn in zip(*calls, strict=True):
+                took = [0.0, 0.0]
+                for side in order:
+                    started = time.perf_counter()
+                    arrays = turn[side]()
+                    took[side] = time.perf_counter() - started
+                    seconds[side] += took[side]
+                    for array in arrays:
+                        hashes[side].update(array.tobytes())
+                turns.append(took[1] / took[0])
+                steps += len(arrays[0])
+            digests.update(h.hexdigest() for h in hashes)
+        per = rounds if args.load else steps / 1e6
+        for side, name in enumerate(SIDES):
+            values[name].append(round(seconds[side] / per, 6))
+        ratio.append(round(statistics.median(turns), 6))
+        print(f"pair {i}: ratio {ratio[-1]:.4f}", file=sys.stderr)
+    if len(digests) != 1:
+        sys.exit(f"error: {digest} differs between calls: {sorted(digests)}")
+    result = {
+        "unit": unit,
+        **values,
+        "parent_stats": stats(values["parent"]),
+        "change_stats": stats(values["change"]),
+        "ratio": ratio,
+        "ratio_stats": stats(ratio),
+        "change_wins": f"{sum(r < 1.0 for r in ratio)} of {len(ratio)}",
+        "median_change_pct": round(100 * (statistics.median(ratio) - 1.0), 3),
+        digest: digests.pop(),
+    }
+    method = (
+        f"{timed}, in one interpreter that imports both sides' src/nanogrid_ems;"
+        f" {args.pairs} pairs of {rounds} rounds of turns, a turn being one call of"
+        " each side back to back, the parent first in even-numbered pairs"
+        " (0-based). A pair's ratio is the median of its turns' change/parent;"
+        " change_wins counts ratios below 1, median_change_pct is the median"
+        f" ratio less 1. parent: {args.parent}; change: the working tree. {digest}"
+        " hashes every array the calls of a round return, the same in every round"
+        " of both sides"
+    )
+    return {block: {"method": method, entry: result}}
 
 
 def main(argv=None) -> int:
@@ -285,36 +298,20 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         checkouts = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
-        flag = "step" if args.step else "load" if args.load else None
-        if args.step:
-            entry, arg = args.step, args.step
-        elif args.load:
-            config = measured_inputs(Path(tmp) / "inputs", args.seed)
-            entry, arg = "measured_day", str(config)
-        runs = []
-        for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            if flag:
-                mode = FRESH_MODES[flag]
-                run = {
-                    side: fresh_run(checkouts[side], mode["script"], arg) for side in order
-                }
-                shown = (
-                    f"{side} {run[side]['value']:.{mode['digits']}f} {mode['unit']}"
-                    for side in SIDES
-                )
-            else:
+        if args.step or args.load:
+            report = interleaved_report(checkouts, args, Path(tmp))
+        else:
+            runs = []
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
                 run = {side: bench(checkouts[side], args) for side in order}
+                runs.append(run)
                 shown = (
                     f"{side} correct={run[side]['correct']} failed={run[side]['failed']}"
                     for side in SIDES
                 )
-            runs.append(run)
-            print(f"pair {i}: " + "  ".join(shown), file=sys.stderr)
-    if flag:
-        report = fresh_report(runs, args, flag, entry)
-    else:
-        report = bench_report(runs, args, spec, better)
+                print(f"pair {i}: " + "  ".join(shown), file=sys.stderr)
+            report = bench_report(runs, args, spec, better)
     text = json.dumps(report, indent=1, ensure_ascii=False)
     if args.out is None:
         sys.stdout.write(text + "\n")

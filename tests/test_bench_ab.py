@@ -1,0 +1,103 @@
+"""``scripts/bench_ab.py``'s ``--step`` runner: two trees in one interpreter.
+
+``--step`` and ``--load`` import the parent's and the change's
+``src/nanogrid_ems`` under two package names and time them in turns.
+These tests run that runner on two copies of this tree's package whose
+only bundled scenario is 60 steps long, and remove the aliased modules
+afterwards, so that no other test sees them.
+"""
+
+import argparse
+import hashlib
+import importlib
+import importlib.util
+import shutil
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from nanogrid_ems.engine import TRACE_FIELDS, run_scenario
+from nanogrid_ems.profiles import load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_AB = ROOT / "scripts" / "bench_ab.py"
+
+
+@pytest.fixture
+def bench_ab():
+    spec = importlib.util.spec_from_file_location("bench_ab", BENCH_AB)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in list(sys.modules):
+        if name.partition(".")[0] in module.PACKAGES.values():
+            del sys.modules[name]
+
+
+@pytest.fixture
+def trees(tmp_path):
+    """Two checkouts whose package's only bundled scenario has 60 steps."""
+    checkouts = {}
+    for side in ("parent", "change"):
+        pkg = tmp_path / side / "src" / "nanogrid_ems"
+        shutil.copytree(
+            ROOT / "src" / "nanogrid_ems",
+            pkg,
+            ignore=shutil.ignore_patterns("__pycache__", "data"),
+        )
+        (pkg / "data").mkdir()
+        (pkg / "data" / "pv.csv").write_text("t_s,power_w\n0,2230\n60,2230\n")
+        (pkg / "data" / "load.csv").write_text("t_s,power_w\n0,100\n60,100\n")
+        (pkg / "data" / "short.cfg").write_text(
+            "name = short\npv_profile = pv.csv\nload_profile = load.csv\n"
+            "soc_init_pct = 60\nduration_s = 60\n"
+        )
+        checkouts[side] = tmp_path / side
+    return checkouts
+
+
+def step_args():
+    return argparse.Namespace(parent="copy", step="flc", load=False, pairs=1, seed=1)
+
+
+def test_two_trees_load_as_distinct_packages(bench_ab, trees):
+    installed = sys.modules.get("nanogrid_ems")
+    before = set(sys.modules)
+    engines = {}
+    for side, name in bench_ab.PACKAGES.items():
+        bench_ab.load_package(trees[side] / "src", name)
+        engines[side] = importlib.import_module(f"{name}.engine")
+        assert Path(engines[side].__file__).is_relative_to(trees[side])
+        assert engines[side].make_controller.__module__ == f"{name}.controller"
+    assert engines["parent"].run_scenario is not engines["change"].run_scenario
+    assert engines["parent"].Trace is not engines["change"].Trace
+    assert sys.modules.get("nanogrid_ems") is installed
+    added = set(sys.modules) - before
+    assert not [name for name in added if name.partition(".")[0] == "nanogrid_ems"]
+
+
+def test_one_pair_gives_one_digest_on_both_sides(bench_ab, trees, tmp_path, capsys):
+    block = bench_ab.interleaved_report(trees, step_args(), tmp_path)["step_ab"]["flc"]
+    assert len(block["parent"]) == len(block["change"]) == len(block["ratio"]) == 1
+    assert block["parent"][0] > 0 and block["change"][0] > 0
+    # The digest is that of one run of the scenario: every trace column in order.
+    config = trees["change"] / "src" / "nanogrid_ems" / "data" / "short.cfg"
+    scenario, pv, load = load_scenario(config)
+    trace = run_scenario(replace(scenario, controller="flc"), pv, load)
+    digest = hashlib.sha256()
+    for name in TRACE_FIELDS:
+        digest.update(getattr(trace, name).tobytes())
+    assert block["trace_sha256"] == digest.hexdigest()
+    assert capsys.readouterr().err.startswith("pair 0: ratio ")
+
+
+def test_a_changed_trace_is_the_digest_error(bench_ab, trees, tmp_path):
+    controller = trees["change"] / "src" / "nanogrid_ems" / "controller.py"
+    text = controller.read_text(encoding="utf-8")
+    default = "c_bat_ah: float = 100.0"
+    assert text.count(default) == 1
+    controller.write_text(text.replace(default, "c_bat_ah: float = 99.0"))
+    with pytest.raises(SystemExit, match="error: trace_sha256 differs between calls"):
+        bench_ab.interleaved_report(trees, step_args(), tmp_path)

@@ -26,7 +26,11 @@ the parent first when i is even. A pair's ratio change/parent is the
 median over its turns, as the back-to-back calls see one phase of the
 machine. Each round hashes every returned array of each side (the trace
 columns, or both profiles' time and power arrays), and the mode fails
-unless all these digests are the same.
+unless all these digests are the same. Each side finds its bundled
+scenarios through its own ``profiles.data_dir()``. Before ``data_dir()``
+followed the package it was imported as, it looked up ``nanogrid_ems``:
+time such a parent with ``PYTHONPATH=src``, which gives it the change's
+bundled data.
 """
 
 from __future__ import annotations
@@ -201,8 +205,7 @@ def timed_calls(src: Path, name: str, args, config: Path | None) -> list:
         return [load]
     engine = importlib.import_module(f"{name}.engine")
     calls = []
-    # By path, as profiles.data_dir() names the package nanogrid_ems.
-    for path in sorted((src / "nanogrid_ems" / "data").glob("*.cfg")):
+    for path in sorted(profiles.data_dir().glob("*.cfg")):
         scenario, pv, load = profiles.load_scenario(path)
         inputs = (replace(scenario, controller=args.step), pv, load)
         # A Trace's attributes are its columns, in field order.

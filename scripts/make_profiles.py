@@ -8,6 +8,7 @@ larger evening peak, and stays below 500 W so that a healthy battery can
 carry it alone.  Output is byte-deterministic.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -56,26 +57,15 @@ STRESS_PV_BREAKPOINTS = [
 
 
 def pv_available(t_s: float) -> float:
-    import math
-
     if t_s < PV_SUNRISE_S:
         return 0.0
     x = (t_s - PV_SUNRISE_S) / (DAY_S - PV_SUNRISE_S)
     return min(PV_RATING_W, PV_SHAPE_PEAK_W * math.sin(math.pi * x))
 
 
-def stress_pv_at(t_s: float) -> float:
+def polyline_at(points, t_s: float) -> float:
+    """The (hour, watts) polyline ``points`` at ``t_s`` seconds."""
     h = t_s / 3600.0
-    points = STRESS_PV_BREAKPOINTS
-    for (h0, w0), (h1, w1) in zip(points, points[1:]):
-        if h0 <= h <= h1:
-            return w0 + (w1 - w0) * (h - h0) / (h1 - h0)
-    return points[-1][1]
-
-
-def load_at(t_s: float) -> float:
-    h = t_s / 3600.0
-    points = LOAD_BREAKPOINTS
     for (h0, w0), (h1, w1) in zip(points, points[1:]):
         if h0 <= h <= h1:
             return w0 + (w1 - w0) * (h - h0) / (h1 - h0)
@@ -129,11 +119,13 @@ def main() -> int:
     DATA.mkdir(parents=True, exist_ok=True)
     grid = range(0, DAY_S + STEP_S, STEP_S)
     write_profile(DATA / "pv_clear_day.csv", [(t, pv_available(t)) for t in grid])
-    write_profile(DATA / "load_residential.csv", [(t, load_at(t)) for t in grid])
+    load = [(t, polyline_at(LOAD_BREAKPOINTS, t)) for t in grid]
+    write_profile(DATA / "load_residential.csv", load)
     write_profile(
         DATA / "load_low_flat.csv", [(t, STRESS_LOAD_W) for t in (0, DAY_S)]
     )
-    write_profile(DATA / "pv_high_plateau.csv", [(t, stress_pv_at(t)) for t in grid])
+    stress_pv = [(t, polyline_at(STRESS_PV_BREAKPOINTS, t)) for t in grid]
+    write_profile(DATA / "pv_high_plateau.csv", stress_pv)
     write_scenarios()
     print(f"wrote profiles and scenarios under {DATA}")
     return 0

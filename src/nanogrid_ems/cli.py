@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -19,6 +19,7 @@ from .controller import CONTROLLER_KINDS, FuzzyEms, NanogridParams
 from .engine import run_scenario, summarize
 from .errors import NanogridError
 from .profiles import (
+    format_value,
     load_scenario,
     render_fuzzy_systems,
     render_summary,
@@ -59,17 +60,9 @@ def cmd_compare(args) -> int:
     table = [_COMPARE_COLUMNS]
     for kind in CONTROLLER_KINDS:
         metrics = _run_one(loaded, kind, args.out)
-        table.append(
-            (
-                kind,
-                str(metrics.violations_charge),
-                str(metrics.violations_discharge),
-                f"{metrics.soc_min_pct:.6g}",
-                f"{metrics.soc_max_pct:.6g}",
-                f"{max(metrics.max_charge_w, metrics.max_discharge_w):.6g}",
-                f"{metrics.charging_fraction:.6g}",
-            )
-        )
+        values = asdict(metrics)
+        values["max_abs_p_bat_w"] = max(metrics.max_charge_w, metrics.max_discharge_w)
+        table.append((kind, *(format_value(values[c]) for c in _COMPARE_COLUMNS[1:])))
     widths = [max(map(len, col)) for col in zip(*table)]
     for row in table:
         sys.stdout.write("  ".join(map(str.ljust, row, widths)).rstrip() + "\n")

@@ -217,19 +217,21 @@ def run_scenario(scenario: Scenario, pv: Profile, load: Profile) -> Trace:
 
 def _count_episodes(flags: np.ndarray) -> int:
     """Number of runs of consecutive True flags longer than the tolerated run."""
-    edges = np.diff(flags.astype(np.int8), prepend=0, append=0)
+    # int8 pads: an int pad would make np.diff work in int64, 8 B a row.
+    edges = np.diff(flags.astype(np.int8), prepend=np.int8(0), append=np.int8(0))
     run_lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
     return int(np.count_nonzero(run_lengths > VIOLATION_MAX_RUN))
 
 
 def _sum_in_order(values: np.ndarray) -> float:
     """``0.0 + values[0] + values[1] + ...``, rounded after each addition, as
-    Python 3.11's ``sum`` adds floats; the energy totals are pinned to it."""
+    Python 3.11's ``sum`` adds floats; the energy totals are pinned to it.
+    The running sums overwrite ``values``."""
     # cumsum adds in order, unlike numpy's pairwise sum and Python 3.12's
     # compensated sum. An overflow gives inf, for require_finite to reject.
     # The last + 0.0 is the start value: an all -0.0 total becomes 0.0.
     with np.errstate(over="ignore"):
-        return float(np.cumsum(values)[-1]) + 0.0
+        return float(np.cumsum(values, out=values)[-1]) + 0.0
 
 
 def summarize(trace: Trace, params: NanogridParams, dt_s: float) -> SummaryMetrics:
@@ -247,10 +249,10 @@ def summarize(trace: Trace, params: NanogridParams, dt_s: float) -> SummaryMetri
         omega_min_rad_s=float(omega.min()),
         omega_max_rad_s=float(omega.max()),
         curtailed_energy_wh=_sum_in_order(trace.p_pv_avail_w - trace.p_pv_w) * hours,
-        aux_energy_wh=_sum_in_order(trace.p_aux_w) * hours,
+        aux_energy_wh=_sum_in_order(trace.p_aux_w.copy()) * hours,
         charging_fraction=np.count_nonzero(p_bat > 0.0) / len(trace),
         violations_charge=_count_episodes(p_bat > charge_band),
-        violations_discharge=_count_episodes(-p_bat > discharge_band),
+        violations_discharge=_count_episodes(p_bat < -discharge_band),
         violations_soc_high=_count_episodes(soc > params.soc_max_pct + SOC_BAND_PCT),
         violations_soc_low=_count_episodes(soc < params.soc_min_pct - SOC_BAND_PCT),
     )

@@ -14,7 +14,6 @@ import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -172,33 +171,31 @@ def parse_scenario(path) -> Scenario:
 
 def data_dir() -> Path:
     """Directory of the bundled profiles and scenarios."""
-    return Path(resources.files("nanogrid_ems") / "data")
-
-
-def resolve_scenario_path(name_or_path) -> Path:
-    """Accept a scenario file path or the bare name of a bundled scenario."""
-    path = Path(name_or_path)
-    if path.exists():
-        return path
-    bundled = data_dir() / f"{path.name}.cfg"
-    if str(name_or_path) == path.name and bundled.exists():
-        return bundled
-    raise FileNotFoundError(f"scenario file not found: {name_or_path}")
+    return Path(__file__).with_name("data")
 
 
 def load_scenario(name_or_path) -> tuple[Scenario, Profile, Profile]:
     """Load a scenario config plus the two profiles it references.
 
-    Relative profile references resolve against the config file's directory.
+    ``name_or_path`` is a scenario file path or the bare name of a bundled
+    scenario. Relative profile references resolve against the config
+    file's directory.
     """
-    path = resolve_scenario_path(name_or_path)
+    path = Path(name_or_path)
+    if not path.exists():
+        bundled = data_dir() / f"{path.name}.cfg"
+        if str(name_or_path) != path.name or not bundled.exists():
+            raise FileNotFoundError(f"scenario file not found: {name_or_path}")
+        path = bundled
     scenario = parse_scenario(path)
     pv = load_profile(path.parent / scenario.pv_profile)
     return scenario, pv, load_profile(path.parent / scenario.load_profile)
 
 
-def _format(value: float) -> str:
-    # +0.0 folds negative zero into plain zero for the text outputs
+def format_value(value: int | float) -> str:
+    """An output value's text: an int as is, a float to 6 digits, -0.0 as 0."""
+    if isinstance(value, int):
+        return str(value)
     return f"{value + 0.0:.6g}"
 
 
@@ -208,7 +205,7 @@ _TRACE_ROW = ",".join(["%.6g"] * len(TRACE_FIELDS)) + "\n"
 
 def render_trace(trace: Trace, start: int = 0, stop: int | None = None) -> str:
     """Rows [start, stop) of the trace table, after its header when start is 0."""
-    # The text of _format on every value, with its + 0.0 fold done per column.
+    # The text of format_value on every value, with its + 0.0 fold done per column.
     columns = [(getattr(trace, f)[start:stop] + 0.0).tolist() for f in TRACE_FIELDS]
     lines = [_TRACE_HEADER] if start == 0 else []
     lines.extend(_TRACE_ROW % row for row in zip(*columns))
@@ -216,11 +213,8 @@ def render_trace(trace: Trace, start: int = 0, stop: int | None = None) -> str:
 
 
 def render_summary(metrics: SummaryMetrics) -> str:
-    lines = []
-    for f in SUMMARY_FIELDS:
-        value = getattr(metrics, f)
-        lines.append(f"{f} = {value if isinstance(value, int) else _format(value)}")
-    return "\n".join(lines) + "\n"
+    lines = (f"{f} = {format_value(getattr(metrics, f))}\n" for f in SUMMARY_FIELDS)
+    return "".join(lines)
 
 
 def write_outputs(

@@ -78,6 +78,16 @@ def test_two_trees_load_as_distinct_packages(bench_ab, trees):
     assert not [name for name in added if name.partition(".")[0] == "nanogrid_ems"]
 
 
+def test_each_tree_reads_its_own_bundled_data(bench_ab, trees):
+    for side, name in bench_ab.PACKAGES.items():
+        bench_ab.load_package(trees[side] / "src", name)
+        profiles = importlib.import_module(f"{name}.profiles")
+        assert profiles.data_dir() == trees[side] / "src" / "nanogrid_ems" / "data"
+        scenario, pv, load = profiles.load_scenario("short")
+        assert (scenario.name, scenario.duration_s) == ("short", 60.0)
+        assert pv.t_s.tolist() == load.t_s.tolist() == [0.0, 60.0]
+
+
 def test_one_pair_gives_one_digest_on_both_sides(bench_ab, trees, tmp_path, capsys):
     block = bench_ab.interleaved_report(trees, step_args(), tmp_path)["step_ab"]["flc"]
     assert len(block["parent"]) == len(block["change"]) == len(block["ratio"]) == 1

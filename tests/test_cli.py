@@ -374,6 +374,19 @@ def test_compare_heavy_load_scenario_table(tmp_path, capsys):
     assert fraction > 0.5
 
 
+def test_compare_cells_read_as_their_summary_lines(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compare", "stress_charge", "--out", str(out)]) == 0
+    header, *rows = (line.split() for line in capsys.readouterr().out.splitlines())
+    assert [row[0] for row in rows] == ["flc", "proportional"]
+    for kind, *cells in rows:
+        text = (out / f"stress_charge_{kind}_summary.txt").read_text()
+        summary = dict(line.split(" = ") for line in text.splitlines())
+        peaks = (summary["max_charge_w"], summary["max_discharge_w"])
+        summary["max_abs_p_bat_w"] = max(peaks, key=float)
+        assert cells == [summary[column] for column in header[1:]]
+
+
 def test_repeat_run_is_byte_identical(tiny_scenario, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["run", str(tiny_scenario), "--out", str(out1)]) == 0

@@ -14,6 +14,7 @@ from nanogrid_ems.engine import (
     Profile,
     Scenario,
     SummaryMetrics,
+    Trace,
     _step_count,
     run_scenario,
     summarize,
@@ -355,6 +356,27 @@ class TestSummarize:
         trace = trace_of([record(p_pv_avail_w=p, p_aux_w=p) for p in column])
         m = summarize(trace, params, 3600.0)
         assert m.curtailed_energy_wh.hex() == m.aux_energy_wh.hex() == (0.0).hex()
+
+    def test_short_lived_memory_per_row(self, params):
+        # Bound: under 8.5 B per added row, as the one float64 column of
+        # running sums that an energy total takes is 8 B a row. np.diff with
+        # int pads works in int64 (18 B a row), a cumsum beside the
+        # difference it sums takes 16 B, and a negated column beside the
+        # flags made from it 9 B.
+        rng = np.random.default_rng(0)
+        peaks = {}
+        for blocks in (4, 8):
+            n = blocks * BLOCK_ROWS
+            trace = Trace(**{f: rng.uniform(-2000.0, 2000.0, n) for f in TRACE_FIELDS})
+            trace.soc_pct[:] = rng.uniform(0.0, 100.0, n)
+            tracemalloc.start()
+            try:
+                summarize(trace, params, 1.0)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        (n_small, small), (n_large, large) = sorted(peaks.items())
+        assert large - small < 8.5 * (n_large - n_small)
 
     def test_idempotent(self, params):
         trace = trace_of([record(p_bat_w=300.0), record(p_bat_w=-200.0, t_s=1.0)])

@@ -94,24 +94,22 @@ def _margins(params: NanogridParams):
     charge_max, discharge_max = params.p_charge_max_w, params.p_discharge_max_w
 
     def margins(soc_pct: float, p_bat_w: float) -> tuple[float, float, float, float]:
-        # max(p_bat_w, 0.0) and max(-p_bat_w, 0.0), then min(1.0, max(0.0, x))
-        # of each margin, with the builtins' comparisons written out.
-        charge = 0.0 if p_bat_w < 0.0 else p_bat_w
-        discharge = -p_bat_w
-        discharge = 0.0 if discharge < 0.0 else discharge
+        # max(0.0, x) of each margin, then min(1.0, x) of the SOC margins, with
+        # the builtins' comparisons written out. A power margin is (limit -
+        # power) / limit with the power at least 0, so it is never above 1.
         high = (soc_max - soc_pct) / high_span
         high = high if high > 0.0 else 0.0
-        charge = (charge_max - charge) / charge_max
+        charge = 1.0 if p_bat_w < 0.0 else (charge_max - p_bat_w) / charge_max
         charge = charge if charge > 0.0 else 0.0
         low = (soc_pct - soc_min) / low_span
         low = low if low > 0.0 else 0.0
-        discharge = (discharge_max - discharge) / discharge_max
+        discharge = 1.0 if p_bat_w > 0.0 else (discharge_max + p_bat_w) / discharge_max
         discharge = discharge if discharge > 0.0 else 0.0
         return (
             high if high < 1.0 else 1.0,
-            charge if charge < 1.0 else 1.0,
+            charge,
             low if low < 1.0 else 1.0,
-            discharge if discharge < 1.0 else 1.0,
+            discharge,
         )
 
     return margins

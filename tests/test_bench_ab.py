@@ -1,10 +1,11 @@
-"""``scripts/bench_ab.py``'s ``--step`` runner: two trees in one interpreter.
+"""``scripts/bench_ab.py``: its ``--step`` runner and its perfbench pair mode.
 
 ``--step`` and ``--load`` import the parent's and the change's
 ``src/nanogrid_ems`` under two package names and time them in turns.
 These tests run that runner on two copies of this tree's package whose
 only bundled scenario is 60 steps long, and remove the aliased modules
-afterwards, so that no other test sees them.
+afterwards, so that no other test sees them. The pair mode's ``bench``
+runs a checkout's ``perfbench/run.py``; here that is a stub.
 """
 
 import argparse
@@ -111,3 +112,51 @@ def test_a_changed_trace_is_the_digest_error(bench_ab, trees, tmp_path):
     controller.write_text(text.replace(default, "c_bat_ah: float = 99.0"))
     with pytest.raises(SystemExit, match="error: trace_sha256 differs between calls"):
         bench_ab.interleaved_report(trees, step_args(), tmp_path)
+
+
+# perfbench/run.py's last JSON line and result file, after a MODE line:
+# "write" writes both, "silent" no result file, "fail" exits with status 1.
+STUB = """
+import json, sys
+from pathlib import Path
+
+if MODE == "fail":
+    sys.exit("stub failed")
+opts = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if MODE == "write":
+    results = Path(".perfbench/results")
+    results.mkdir(parents=True)
+    name = f"{opts['--workload']}-seed{opts['--seed']}-trace{opts['--trace']}.json"
+    (results / name).write_text(json.dumps({"environment": {"cpus": 2}}))
+metric = {"value": 1.5, "unit": "s"}
+print(json.dumps({"correct": True, "failed": 0, "metrics": {"best_wall_s": metric}}))
+"""
+
+
+def stub_checkout(tmp_path, mode):
+    run = tmp_path / mode / "perfbench" / "run.py"
+    run.parent.mkdir(parents=True)
+    run.write_text(f"MODE = {mode!r}\n{STUB}", encoding="utf-8")
+    return run.parents[1]
+
+
+def bench_args():
+    return argparse.Namespace(workload="bundled_flc", seed=1, trace=0)
+
+
+def test_bench_keys_one_workload_and_reads_the_environment(bench_ab, tmp_path):
+    result = bench_ab.bench(stub_checkout(tmp_path, "write"), bench_args())
+    assert result["metrics"] == {"bundled_flc/best_wall_s": {"value": 1.5, "unit": "s"}}
+    assert result["environment"] == {"cpus": 2}
+    assert (result["correct"], result["failed"]) == (True, 0)
+
+
+def test_bench_without_a_result_file_exits(bench_ab, tmp_path):
+    with pytest.raises(SystemExit, match="wrote no result file"):
+        bench_ab.bench(stub_checkout(tmp_path, "silent"), bench_args())
+
+
+def test_bench_of_a_failed_run_exits(bench_ab, tmp_path):
+    with pytest.raises(SystemExit, match="perfbench failed") as raised:
+        bench_ab.bench(stub_checkout(tmp_path, "fail"), bench_args())
+    assert "stub failed" in str(raised.value)

@@ -25,6 +25,40 @@ GOLDEN_SHIFT_PLUS_MID = 0.08362507602272722
 GOLDEN_SHIFT_MINUS_MID = -0.037500034090909094
 
 
+# Non-default limits move every normalisation span and calibration constant.
+PARAM_SETS = (
+    NanogridParams(),
+    NanogridParams(
+        p_pv_rating_w=3000.0,
+        p_aux_rating_w=1500.0,
+        soc_max_pct=90.0,
+        soc_min_plus10_pct=35.0,
+        soc_min_pct=20.0,
+        p_charge_max_w=800.0,
+        p_discharge_max_w=1200.0,
+        m_pv_rad_s_per_w=1e-4,
+    ),
+)
+# SOC and battery power at the breakpoints of both parameter sets, where the
+# calibration corners pin the shifts to exactly 0 or exactly the bound.
+SOC = st.one_of(
+    st.floats(0.0, 100.0),
+    st.sampled_from([0.0, 20.0, 35.0, 40.0, 50.0, 90.0, 95.0, 100.0]),
+)
+# Each power limit of both sets, charging and discharging, 1 ulp either side.
+NEAR_LIMITS = [
+    math.nextafter(sign * limit, toward)
+    for limit in (800.0, 1000.0, 1200.0)
+    for sign in (1.0, -1.0)
+    for toward in (-math.inf, math.inf)
+]
+P_BAT = st.one_of(
+    st.floats(-4000.0, 4000.0),
+    st.sampled_from([-4000.0, -1200.0, -1000.0, -800.0, -0.0, 0.0, 800.0, 1000.0]),
+    st.sampled_from([-5e-324, 5e-324, *NEAR_LIMITS]),
+)
+
+
 class TestParams:
     def test_table_defaults(self, params):
         assert params.p_pv_rating_w == 2230.0
@@ -108,6 +142,20 @@ class TestNormalizations:
         high, _, low, _ = _margins(NanogridParams())(soc, 0.0)
         for margin in (high, low):
             assert 0.0 <= margin <= 1.0
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(PARAM_SETS), SOC, P_BAT)
+    def test_matches_seed_bit_for_bit(self, params, soc, p_bat):
+        """The seed's four ``normalize_*`` values, sign of zero included."""
+        state = reference_seed.BatteryState(soc, p_bat)
+        seed = (
+            reference_seed.normalize_soc_high(soc, params),
+            reference_seed.normalize_charge(state.p_charge_w, params),
+            reference_seed.normalize_soc_low(soc, params),
+            reference_seed.normalize_discharge(state.p_discharge_w, params),
+        )
+        new = _margins(params)(soc, p_bat)
+        assert [m.hex() for m in new] == [m.hex() for m in seed]
 
 
 class TestFuzzyShifts:
@@ -264,30 +312,6 @@ def test_make_controller_kinds(params):
     assert isinstance(make_controller("proportional", params), ProportionalEms)
 
 
-# Non-default limits move every normalisation span and calibration constant.
-PARAM_SETS = (
-    NanogridParams(),
-    NanogridParams(
-        p_pv_rating_w=3000.0,
-        p_aux_rating_w=1500.0,
-        soc_max_pct=90.0,
-        soc_min_plus10_pct=35.0,
-        soc_min_pct=20.0,
-        p_charge_max_w=800.0,
-        p_discharge_max_w=1200.0,
-        m_pv_rad_s_per_w=1e-4,
-    ),
-)
-# SOC and battery power at the breakpoints of both parameter sets, where the
-# calibration corners pin the shifts to exactly 0 or exactly the bound.
-SOC = st.one_of(
-    st.floats(0.0, 100.0),
-    st.sampled_from([0.0, 20.0, 35.0, 40.0, 50.0, 90.0, 95.0, 100.0]),
-)
-P_BAT = st.one_of(
-    st.floats(-4000.0, 4000.0),
-    st.sampled_from([-4000.0, -1200.0, -1000.0, -800.0, -0.0, 0.0, 800.0, 1000.0]),
-)
 MARGIN = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
 
 

@@ -11,6 +11,9 @@ from nanogrid_ems.model import aux_power, battery_soc_update, grid_step, pv_powe
 
 import reference_seed
 
+# np.interp rounds a sample just before a 0 W point after 315.5 W to this.
+UNDERSHOOT_W = -5.684341886080802e-14
+
 
 class TestPvPower:
     def test_no_curtailment_at_nominal(self, params):
@@ -25,6 +28,11 @@ class TestPvPower:
 
     def test_under_frequency_does_not_boost(self, params):
         assert pv_power(params.omega_nom_rad_s - 0.05, 1500.0, params) == 1500.0
+
+    @pytest.mark.parametrize("raise_rad_s", [0.0, 0.06])
+    def test_negative_sample_is_not_curtailed(self, params, raise_rad_s):
+        p_pv = pv_power(params.omega_nom_rad_s + raise_rad_s, UNDERSHOOT_W, params)
+        assert p_pv.hex() == UNDERSHOOT_W.hex()
 
     @settings(max_examples=60)
     @given(
@@ -119,7 +127,10 @@ class TestGridStep:
             st.floats(min_value=314.0, max_value=314.4),
             st.sampled_from([314.085, 314.16, 314.32725]),
         ),
-        st.one_of(st.floats(0.0, 2230.0), st.sampled_from([0.0, 2230.0])),
+        st.one_of(
+            st.floats(0.0, 2230.0),
+            st.sampled_from([0.0, -0.0, 5e-324, UNDERSHOOT_W, 2230.0]),
+        ),
         st.one_of(st.floats(0.0, 6000.0), st.sampled_from([0.0, 2230.0])),
     )
     def test_matches_seed_bit_for_bit(self, omega, avail, load):

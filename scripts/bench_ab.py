@@ -27,10 +27,7 @@ median over its turns, as the back-to-back calls see one phase of the
 machine. Each round hashes every returned array of each side (the trace
 columns, or both profiles' time and power arrays), and the mode fails
 unless all these digests are the same. Each side finds its bundled
-scenarios through its own ``profiles.data_dir()``. Before ``data_dir()``
-followed the package it was imported as, it looked up ``nanogrid_ems``:
-time such a parent with ``PYTHONPATH=src``, which gives it the change's
-bundled data.
+scenarios through its own ``profiles.data_dir()``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ controller, through copies of the configs cut to ``duration_s = 600``;
 proportional``, a bundled scenario by its bare name (12 h, about 4 s
 traced); ``run`` on a 60 s scenario that clamps the SOC; ``run`` on that
 scenario with a plain-text profile named ``*.gz``, which numpy would
-decompress by its name, so the line loop parses its text; ``dump-fis``;
-and ``run`` on a missing scenario.
+decompress by its name, so the line loop parses its text; ``run`` on
+that scenario with a PV profile that holds a ``6_0`` time and a blank row,
+one with a word for a power, and one that is not valid UTF-8, and with
+``dt_s = one``; ``dump-fis``; and ``run`` on a missing scenario.
 The package is imported under the tracer, so its module-level lines
 count. The script then prints every line of ``src/nanogrid_ems`` that
 holds code, never ran and is not part of a ``raise`` statement, as
@@ -95,6 +97,27 @@ def exercise(work: Path) -> list[str]:
         encoding="utf-8",
     )
     commands.append((CLI, ["run", str(gz), "--out", out], 0))
+    # numpy's reader refuses `6_0`, which float() reads as 60, so the line
+    # loop parses the first profile and skips its blank row. The other two
+    # fail in the line loop and in the UTF-8 check.
+    bad_profiles = {
+        "underscore.csv": (b"t_s,power_w\n0,0\n\n6_0,0\n", 0),
+        "word.csv": (b"t_s,power_w\n0,0\n60,zero\n", 1),
+        "latin1.csv": (b"t_s,power_w\n0,0\n60,0\xb0\n", 1),
+    }
+    for name, (data, expected) in bad_profiles.items():
+        (work / name).write_bytes(data)
+        cfg = work / f"{Path(name).stem}.cfg"
+        cfg.write_text(
+            clamp.read_text(encoding="utf-8").replace("zero.csv", name),
+            encoding="utf-8",
+        )
+        commands.append((CLI, ["run", str(cfg), "--out", out], expected))
+    word_dt = work / "word_dt.cfg"
+    word_dt.write_text(
+        clamp.read_text(encoding="utf-8") + "dt_s = one\n", encoding="utf-8"
+    )
+    commands.append((CLI, ["run", str(word_dt), "--out", out], 1))
     commands.append((CLI, ["dump-fis", "--out", str(work / "out" / "fis.cfg")], 0))
     commands.append((CLI, ["run", str(work / "missing.cfg"), "--out", out], 1))
 

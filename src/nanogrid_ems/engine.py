@@ -67,7 +67,9 @@ class Profile:
                 f"profile {self.name!r} spans [{self.t_s[0]:g}, {self.t_s[-1]:g}] s "
                 f"but the scenario needs [0, {duration_s:g}] s"
             )
-        return np.interp(ts, self.t_s, self.power_w)
+        samples = np.interp(ts, self.t_s, self.power_w)
+        # np.interp can round a sample just before a 0 W point below zero.
+        return np.maximum(samples, 0.0, out=samples)
 
 
 @dataclass(frozen=True, kw_only=True)

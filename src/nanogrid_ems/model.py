@@ -22,9 +22,12 @@ SLACK_LIMIT_FACTOR = 4.0
 
 
 def pv_power(omega_rad_s: float, p_avail_w: float, params: NanogridParams) -> float:
-    """Delivered PV power after frequency-droop curtailment, at most ``p_avail_w``."""
+    """Delivered PV power after frequency-droop curtailment, at most ``p_avail_w``.
+
+    Needs ``p_avail_w >= 0``, which ``Profile.sample`` makes true.
+    """
     curtail = max(omega_rad_s - params.omega_nom_rad_s, 0.0) / params.m_pv_rad_s_per_w
-    return min(max(p_avail_w - curtail, 0.0), p_avail_w)
+    return max(p_avail_w - curtail, 0.0)
 
 
 def aux_power(omega_rad_s: float, params: NanogridParams) -> float:

@@ -387,6 +387,39 @@ def test_compare_cells_read_as_their_summary_lines(tmp_path, capsys):
         assert cells == [summary[column] for column in header[1:]]
 
 
+@pytest.mark.parametrize(
+    "column,cells",
+    [
+        ("load", {"p_load_w": "0", "p_bat_w": "0"}),
+        ("pv", {"p_pv_avail_w": "0", "p_pv_w": "0"}),
+    ],
+    ids=["load", "pv"],
+)
+def test_undershooting_sample_writes_no_negative_power(
+    tmp_path, capsys, undershoot, column, cells
+):
+    profile, t_s = undershoot
+    rows = zip(profile.t_s.tolist(), profile.power_w.tolist())
+    write_profile(tmp_path / "undershoot.csv", [f"{t!r},{p!r}" for t, p in rows])
+    flat = "0" if column == "load" else "100"
+    write_profile(tmp_path / "flat.csv", [f"0,{flat}", f"400,{flat}"])
+    pv, load = ("undershoot", "flat") if column == "pv" else ("flat", "undershoot")
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text(
+        f"name = u\npv_profile = {pv}.csv\nload_profile = {load}.csv\n"
+        f"soc_init_pct = 60\ncontroller = proportional\ndt_s = {t_s!r}\n"
+        "duration_s = 380\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert {"max_charge_w = 0", "charging_fraction = 0"} <= set(summary)
+    # Line 2 is the step at t_s, where np.interp alone undershoots.
+    header, _, step = (out / "u_proportional_trace.csv").read_text().splitlines()[:3]
+    row = dict(zip(header.split(","), step.split(",")))
+    assert {key: row[key] for key in cells} == cells
+
+
 def test_repeat_run_is_byte_identical(tiny_scenario, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["run", str(tiny_scenario), "--out", str(out1)]) == 0

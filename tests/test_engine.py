@@ -73,6 +73,29 @@ def record(**overrides):
     return Row(**base)
 
 
+def assert_closed_loop_invariants(trace, sc):
+    params = sc.params
+    lo = params.omega_nom_rad_s - params.d_omega_minus_max
+    hi = params.omega_nom_rad_s + params.d_omega_plus_max
+    nom = params.omega_nom_rad_s
+    replayed_soc = sc.soc_init_pct
+    for r in rows(trace):
+        assert r.p_pv_w + r.p_aux_w - r.p_load_w - r.p_bat_w == 0.0
+        assert lo - 1e-12 <= r.omega_rad_s <= hi + 1e-12
+        assert 0.0 <= r.soc_pct <= 100.0
+        assert 0.0 <= r.p_pv_w <= r.p_pv_avail_w
+        assert 0.0 <= r.p_load_w
+        assert 0.0 <= r.p_aux_w <= params.p_aux_rating_w
+        assert r.omega_rad_s == nom + r.d_omega_plus + r.d_omega_minus
+        assert 0.0 <= r.d_omega_plus <= params.d_omega_plus_max
+        assert -params.d_omega_minus_max <= r.d_omega_minus <= 0.0
+        # One-sided droop: PV curtails only above nominal, aux only below.
+        assert r.p_pv_w == r.p_pv_avail_w or r.omega_rad_s > nom
+        assert r.p_aux_w == 0.0 or r.omega_rad_s < nom
+        replayed_soc = battery_soc_update(replayed_soc, r.p_bat_w, sc.dt_s, params)
+        assert r.soc_pct == replayed_soc
+
+
 class TestScenarioValidation:
     def test_rejects_zero_dt(self):
         with pytest.raises(ValidationError):
@@ -225,24 +248,21 @@ class TestRunScenario:
         ld = Profile("load", np.array([0.0, 30.0]), np.array([load, load]))
         trace = run_scenario(sc, pv, ld)
         assert len(trace) == 30
-        lo = params.omega_nom_rad_s - params.d_omega_minus_max
-        hi = params.omega_nom_rad_s + params.d_omega_plus_max
-        nom = params.omega_nom_rad_s
-        replayed_soc = soc
-        for r in rows(trace):
-            assert r.p_pv_w + r.p_aux_w - r.p_load_w - r.p_bat_w == 0.0
-            assert lo - 1e-12 <= r.omega_rad_s <= hi + 1e-12
-            assert 0.0 <= r.soc_pct <= 100.0
-            assert 0.0 <= r.p_pv_w <= r.p_pv_avail_w
-            assert 0.0 <= r.p_aux_w <= params.p_aux_rating_w
-            assert r.omega_rad_s == nom + r.d_omega_plus + r.d_omega_minus
-            assert 0.0 <= r.d_omega_plus <= params.d_omega_plus_max
-            assert -params.d_omega_minus_max <= r.d_omega_minus <= 0.0
-            # One-sided droop: PV curtails only above nominal, aux only below.
-            assert r.p_pv_w == r.p_pv_avail_w or r.omega_rad_s > nom
-            assert r.p_aux_w == 0.0 or r.omega_rad_s < nom
-            replayed_soc = battery_soc_update(replayed_soc, r.p_bat_w, sc.dt_s, params)
-            assert r.soc_pct == replayed_soc
+        assert_closed_loop_invariants(trace, sc)
+
+    # A run at dt = t_s samples the undershooting profile at t_s in step 1.
+    @pytest.mark.parametrize("controller", ["flc", "proportional"])
+    @pytest.mark.parametrize("column", ["pv", "load"])
+    def test_closed_loop_invariants_on_an_undershooting_profile(
+        self, undershoot, flat_profile, column, controller
+    ):
+        profile, t_s = undershoot
+        sc = scenario(controller=controller, dt_s=t_s, duration_s=380.0)
+        if column == "pv":
+            pv, load = profile, flat_profile(100.0, "load")
+        else:
+            pv, load = flat_profile(0.0, "pv"), profile
+        assert_closed_loop_invariants(run_scenario(sc, pv, load), sc)
 
     def test_inputs_reach_their_steps_across_blocks(self):
         # The loop reads its inputs BLOCK_ROWS at a time. Under ramps every

@@ -443,6 +443,11 @@ class TestSampleProfile:
         assert sample_at(profile, 5.0) == 50.0
         assert sample_at(profile, 20.0) == 70.0
 
+    def test_sample_below_zero_is_clamped(self, undershoot):
+        # np.interp alone gives -5.684341886080802e-14 W here.
+        profile, t_s = undershoot
+        assert sample_at(profile, t_s).hex() == (0.0).hex()
+
 
 class TestParseScenario:
     MINIMAL = "pv_profile = pv.csv\nload_profile = load.csv\nsoc_init_pct = 60\n"

@@ -7,9 +7,12 @@
 
 The parent side is a fresh copy of the parent commit's files (``git
 archive``, which registers nothing in the repository); the change side is
-this checkout's working tree. Pair i runs ``perfbench/run.py`` on both
-sides, the parent first when i is even, and keeps the metrics of the JSON
-line each run prints last; every run lasts BENCHMARK.json's run_seconds.
+a fresh copy of this checkout's working tree: its tracked files and the
+untracked ones that git does not ignore. So neither side holds a bytecode
+cache or earlier benchmark results, as in a new checkout. Pair i runs
+``perfbench/run.py`` on both sides, the parent first when i is even, and
+keeps the metrics of the JSON line each run prints last; every run lasts
+BENCHMARK.json's run_seconds.
 The output is one JSON object: for every workload and metric, the raw
 values of both sides, their median, quartiles and IQR, how many pairs the
 change won and the change of the median in percent. The script itself
@@ -36,6 +39,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -67,6 +71,26 @@ def export(ref: str, dest: Path) -> Path:
         capture_output=True,
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+    return dest
+
+
+def snapshot(root: Path, dest: Path) -> Path:
+    """Copy the working tree of the checkout ``root`` to ``dest``, leaving
+    out what git ignores, such as ``__pycache__``: a stray bytecode cache
+    in ``root`` would spare that side's interpreters compiling ``src/``."""
+    listed = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z"]
+        + ["--cached", "--others", "--exclude-standard"],
+        check=True,
+        capture_output=True,
+    ).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = root / name
+        # A tracked file deleted in the working tree is listed but not copied.
+        if source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
     return dest
 
 
@@ -162,7 +186,8 @@ def bench_report(runs: list[dict], args, spec: dict, better: dict[str, str]) -> 
         ),
         "method": (
             f"{args.pairs} interleaved pairs; pair i (0-based) ran the parent first"
-            f" when i is even. parent: {args.parent}; change: the working tree"
+            f" when i is even. parent: {args.parent}; change: a copy of the"
+            " working tree"
         ),
         "environment": runs[-1]["change"]["environment"],
         "runs": [
@@ -270,9 +295,9 @@ def interleaved_report(checkouts: dict[str, Path], args, tmp: Path) -> dict:
         " each side back to back, the parent first in even-numbered pairs"
         " (0-based). A pair's ratio is the median of its turns' change/parent;"
         " change_wins counts ratios below 1, median_change_pct is the median"
-        f" ratio less 1. parent: {args.parent}; change: the working tree. {digest}"
-        " hashes every array the calls of a round return, the same in every round"
-        " of both sides"
+        f" ratio less 1. parent: {args.parent}; change: a copy of the working"
+        f" tree. {digest} hashes every array the calls of a round return, the"
+        " same in every round of both sides"
     )
     return {block: {"method": method, entry: result}}
 
@@ -297,7 +322,10 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
-        checkouts = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
+        checkouts = {
+            "parent": export(args.parent, Path(tmp) / "parent"),
+            "change": snapshot(ROOT, Path(tmp) / "change"),
+        }
         if args.step or args.load:
             report = interleaved_report(checkouts, args, Path(tmp))
         else:

@@ -32,12 +32,12 @@ SOC_BAND_PCT = 0.1
 
 # Largest step count a scenario may ask for (about 116 days at dt = 1 s).
 # A run holds its ten float64 trace columns, 80 B per step, beside a bounded
-# rest: `run` on a flat 10 000 000-step scenario peaked at 965 MB of RSS.
+# rest: `run` on a flat 10 000 000-step scenario peaked at 869 MB of RSS.
 MAX_STEPS = 10_000_000
 
-# Rows that turn into Python objects at a time: the loop's inputs here, and
-# the trace text that profiles.write_outputs renders and writes.
-BLOCK_ROWS = 8192
+# Rows turned into Python objects at a time: the loop's inputs (64 B a row) and
+# write_outputs' trace text (~550 B a row). Bundled runs peak at ~34 MB of RSS.
+BLOCK_ROWS = 1024
 
 
 @dataclass(eq=False)

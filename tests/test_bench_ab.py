@@ -5,7 +5,8 @@
 These tests run that runner on two copies of this tree's package whose
 only bundled scenario is 60 steps long, and remove the aliased modules
 afterwards, so that no other test sees them. The pair mode's ``bench``
-runs a checkout's ``perfbench/run.py``; here that is a stub.
+runs a checkout's ``perfbench/run.py``; here that is a stub, and the
+change side's checkout is a ``snapshot`` of a small git working tree.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import hashlib
 import importlib
 import importlib.util
 import shutil
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -160,3 +162,24 @@ def test_bench_of_a_failed_run_exits(bench_ab, tmp_path):
     with pytest.raises(SystemExit, match="perfbench failed") as raised:
         bench_ab.bench(stub_checkout(tmp_path, "fail"), bench_args())
     assert "stub failed" in str(raised.value)
+
+
+def test_the_change_side_leaves_out_what_git_ignores(bench_ab, tmp_path):
+    root = tmp_path / "checkout"
+    (root / "src").mkdir(parents=True)
+    (root / ".gitignore").write_text("__pycache__/\n/.perfbench/\n")
+    (root / "src" / "kept.py").write_text("a = 1\n")
+    (root / "src" / "deleted.py").write_text("b = 2\n")
+    subprocess.run(["git", "init", "-q", str(root)], check=True)
+    subprocess.run(["git", "-C", str(root), "add", "-A"], check=True)
+    (root / "src" / "kept.py").write_text("a = 3\n")
+    (root / "src" / "deleted.py").unlink()
+    (root / "src" / "untracked.py").write_text("c = 4\n")
+    (root / "src" / "__pycache__").mkdir()
+    (root / "src" / "__pycache__" / "kept.cpython-311.pyc").write_bytes(b"stale")
+    (root / ".perfbench" / "results").mkdir(parents=True)
+    (root / ".perfbench" / "results" / "old.json").write_text("{}")
+    copy = bench_ab.snapshot(root, tmp_path / "change")
+    files = sorted(p.relative_to(copy).as_posix() for p in copy.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/kept.py", "src/untracked.py"]
+    assert (copy / "src" / "kept.py").read_text() == "a = 3\n"

@@ -305,6 +305,24 @@ class TestRunScenario:
         (n_small, small), (n_large, large) = sorted(beyond.items())
         assert large - small < n_large - n_small
 
+    def test_memory_beyond_the_trace_columns_of_a_day(self):
+        # Bound: 256 KiB beyond the ten float64 trace columns of a 43 200-step
+        # run. One block of inputs as Python floats costs 64 B a row (a list
+        # pointer and a float object, twice): ~69 KB at 1 024 rows a block,
+        # ~527 KB at 8 192.
+        n = 43_200
+        sc = scenario(controller="proportional", duration_s=float(n))
+        flat = np.array([0.0, float(n)])
+        pv = Profile("pv", flat, np.array([800.0, 800.0]))
+        load = Profile("load", flat, np.array([500.0, 500.0]))
+        tracemalloc.start()
+        try:
+            run_scenario(sc, pv, load)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - len(TRACE_FIELDS) * 8 * n < 256 * 1024
+
 
 class TestSummarize:
     def test_dead_network_summary(self, params, flat_profile):

@@ -642,6 +642,19 @@ class TestWriteOutputs:
         (n_small, small), (n_large, large) = sorted(peaks.items())
         assert large - small < n_large - n_small
 
+    def test_peak_memory_of_a_day(self, tmp_path):
+        # Bound: 1 MiB for a 43 200-row trace. One block's value lists, row
+        # strings and joined text cost ~550 B a row here: ~565 KB at 1 024
+        # rows a block, ~4.5 MB at 8 192.
+        trace = self._random_trace(43_200)
+        tracemalloc.start()
+        try:
+            write_outputs(trace, self._metrics(), tmp_path, "x")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
 
 class TestLoadScenario:
     def test_relative_profile_resolution(self, tmp_path):

@@ -607,9 +607,15 @@ class TestWriteOutputs:
         rng = np.random.default_rng(n)
         return Trace(**{f: rng.normal(0.0, 1000.0, n) for f in TRACE_FIELDS})
 
+    # The block edges at BLOCK_ROWS, and the fixed sizes around 8 192 and
+    # 16 384 rows, which stay block edges for any power-of-two block size
+    # up to 8 192.
     @pytest.mark.parametrize(
         "n",
-        [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1],
+        sorted(
+            {0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1}
+            | {8191, 8192, 8193, 16385}
+        ),
     )
     def test_blocks_write_the_whole_table(self, tmp_path, n):
         trace = self._random_trace(n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -34,10 +33,6 @@ SOC_BAND_PCT = 0.1
 # A run holds its ten float64 trace columns, 80 B per step, beside a bounded
 # rest: `run` on a flat 10 000 000-step scenario peaked at 869 MB of RSS.
 MAX_STEPS = 10_000_000
-
-# Rows turned into Python objects at a time: the loop's inputs (64 B a row) and
-# write_outputs' trace text (~550 B a row). Bundled runs peak at ~34 MB of RSS.
-BLOCK_ROWS = 1024
 
 
 @dataclass(eq=False)
@@ -189,13 +184,14 @@ def run_scenario(scenario: Scenario, pv: Profile, load: Profile) -> Trace:
     load_w = load.sample(ts, scenario.duration_s)
     load_w *= scenario.load_multiplier
 
-    p_pv, p_aux, p_bat, soc_pct, omega, d_plus, d_minus = np.empty((7, n))
+    # Memoryviews of the float64 columns hand out and take Python floats in
+    # place: no row is copied, and a store costs less than numpy's.
+    p_pv, p_aux, p_bat, soc_pct, omega, d_plus, d_minus = map(
+        memoryview, np.empty((7, n))
+    )
     soc = scenario.soc_init_pct
     p_bat_k = 0.0
-    inputs = chain.from_iterable(
-        zip(pv_avail[i : i + BLOCK_ROWS].tolist(), load_w[i : i + BLOCK_ROWS].tolist())
-        for i in range(0, n, BLOCK_ROWS)
-    )
+    inputs = zip(memoryview(pv_avail), memoryview(load_w))
     for k, (p_avail_k, p_load_k) in enumerate(inputs):
         d_plus[k], d_minus[k], omega_k = controller.step(soc, p_bat_k)
         p_pv[k], p_aux[k], p_bat_k = grid_step(omega_k, p_avail_k, p_load_k, params)
@@ -206,14 +202,14 @@ def run_scenario(scenario: Scenario, pv: Profile, load: Profile) -> Trace:
     return Trace(
         t_s=ts,
         p_pv_avail_w=pv_avail,
-        p_pv_w=p_pv,
-        p_aux_w=p_aux,
+        p_pv_w=p_pv.obj,
+        p_aux_w=p_aux.obj,
         p_load_w=load_w,
-        p_bat_w=p_bat,
-        soc_pct=soc_pct,
-        omega_rad_s=omega,
-        d_omega_plus=d_plus,
-        d_omega_minus=d_minus,
+        p_bat_w=p_bat.obj,
+        soc_pct=soc_pct.obj,
+        omega_rad_s=omega.obj,
+        d_omega_plus=d_plus.obj,
+        d_omega_minus=d_minus.obj,
     )
 
 

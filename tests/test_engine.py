@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nanogrid_ems.controller import NanogridParams
 from nanogrid_ems.engine import (
-    BLOCK_ROWS,
     MAX_STEPS,
     TRACE_FIELDS,
     Profile,
@@ -265,10 +264,9 @@ class TestRunScenario:
         assert_closed_loop_invariants(run_scenario(sc, pv, load), sc)
 
     def test_inputs_reach_their_steps_across_blocks(self):
-        # The loop reads its inputs BLOCK_ROWS at a time. Under ramps every
-        # step has its own PV and load, so an input read at the wrong step
-        # breaks the exact balance against the trace's columns.
-        n = 2 * BLOCK_ROWS + 1
+        # Under ramps every step has its own PV and load, so an input read at
+        # the wrong step breaks the exact balance against the trace's columns.
+        n = 2049
         sc = scenario(controller="proportional", duration_s=float(n))
         ramp = np.array([0.0, float(n)])
         trace = run_scenario(
@@ -284,13 +282,12 @@ class TestRunScenario:
 
     def test_memory_beyond_the_trace_columns_does_not_grow(self):
         # Bound: less than 1 B per added step beyond the ten float64 trace
-        # columns. The loop turns its two input columns into Python floats
-        # BLOCK_ROWS rows at a time; turning them whole costs 64 B a step
-        # (a list pointer and a float object, twice), and a temporary
-        # column made by a product costs 8 B a step.
+        # columns. The loop reads and writes the columns through memoryviews,
+        # which copy no rows; turning the two input columns into Python floats
+        # whole costs 64 B a step (a list pointer and a float object, twice),
+        # and a temporary column made by a product costs 8 B a step.
         beyond = {}
-        for blocks in (4, 8):
-            n = blocks * BLOCK_ROWS
+        for n in (4096, 8192):
             sc = scenario(controller="proportional", duration_s=float(n))
             flat = np.array([0.0, float(n)])
             pv = Profile("pv", flat, np.array([800.0, 800.0]))
@@ -306,10 +303,11 @@ class TestRunScenario:
         assert large - small < n_large - n_small
 
     def test_memory_beyond_the_trace_columns_of_a_day(self):
-        # Bound: 256 KiB beyond the ten float64 trace columns of a 43 200-step
-        # run. One block of inputs as Python floats costs 64 B a row (a list
-        # pointer and a float object, twice): ~69 KB at 1 024 rows a block,
-        # ~527 KB at 8 192.
+        # Bound: 16 KiB beyond the ten float64 trace columns of a 43 200-step
+        # run. The memoryviews the loop reads and writes the columns through
+        # copy no rows, so ~6 KB of controller and loop objects is left; 1 024
+        # rows of inputs as Python floats would add 64 B a row (a list pointer
+        # and a float object, twice), ~66 KB.
         n = 43_200
         sc = scenario(controller="proportional", duration_s=float(n))
         flat = np.array([0.0, float(n)])
@@ -321,7 +319,7 @@ class TestRunScenario:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - len(TRACE_FIELDS) * 8 * n < 256 * 1024
+        assert peak - len(TRACE_FIELDS) * 8 * n < 16 * 1024
 
 
 class TestSummarize:
@@ -403,8 +401,7 @@ class TestSummarize:
         # flags made from it 9 B.
         rng = np.random.default_rng(0)
         peaks = {}
-        for blocks in (4, 8):
-            n = blocks * BLOCK_ROWS
+        for n in (4096, 8192):
             trace = Trace(**{f: rng.uniform(-2000.0, 2000.0, n) for f in TRACE_FIELDS})
             trace.soc_pct[:] = rng.uniform(0.0, 100.0, n)
             tracemalloc.start()

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from nanogrid_ems.controller import FuzzyEms, NanogridParams
 from nanogrid_ems.engine import (
-    BLOCK_ROWS,
     TRACE_FIELDS,
     Profile,
     Scenario,
@@ -32,6 +31,7 @@ from nanogrid_ems.errors import (
 )
 from nanogrid_ems import profiles
 from nanogrid_ems.profiles import (
+    BLOCK_ROWS,
     load_profile,
     load_scenario,
     parse_scenario,

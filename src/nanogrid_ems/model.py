@@ -20,20 +20,30 @@ log = logging.getLogger(__name__)
 # scenario rather than a controller bug.
 SLACK_LIMIT_FACTOR = 4.0
 
+# The clamps below run every step, so each writes out the comparison its
+# builtin makes, in the builtin's argument order: max(a, b) is
+# ``b if b > a else a`` and min(a, b) is ``b if b < a else a``. A builtin
+# min or max call costs ~6-8x that comparison. The order matters:
+# max(x, 0.0) and max(0.0, x) differ on -0.0 and NaN.
+
 
 def pv_power(omega_rad_s: float, p_avail_w: float, params: NanogridParams) -> float:
     """Delivered PV power after frequency-droop curtailment, at most ``p_avail_w``.
 
     Needs ``p_avail_w >= 0``, which ``Profile.sample`` makes true.
     """
-    curtail = max(omega_rad_s - params.omega_nom_rad_s, 0.0) / params.m_pv_rad_s_per_w
-    return max(p_avail_w - curtail, 0.0)
+    over = omega_rad_s - params.omega_nom_rad_s
+    curtail = (0.0 if 0.0 > over else over) / params.m_pv_rad_s_per_w
+    p_pv = p_avail_w - curtail
+    return 0.0 if 0.0 > p_pv else p_pv
 
 
 def aux_power(omega_rad_s: float, params: NanogridParams) -> float:
     """Auxiliary unit output; floats at zero until frequency drops below nominal."""
-    lift = max(params.omega_nom_rad_s - omega_rad_s, 0.0) / params.m_aux_rad_s_per_w
-    return min(lift, params.p_aux_rating_w)
+    under = params.omega_nom_rad_s - omega_rad_s
+    lift = (0.0 if 0.0 > under else under) / params.m_aux_rad_s_per_w
+    rating = params.p_aux_rating_w
+    return rating if rating < lift else lift
 
 
 def grid_step(
@@ -62,7 +72,8 @@ def battery_soc_update(
     """Coulomb-counting SOC update at constant voltage and unit efficiency."""
     delta = 100.0 * p_bat_w * (dt_s / 3600.0) / params.e_bat_wh
     raw = soc_pct + delta
-    clamped = min(100.0, max(0.0, raw))
+    clamped = raw if raw > 0.0 else 0.0
+    clamped = clamped if clamped < 100.0 else 100.0
     if clamped != raw:
         log.warning("soc clamped from %.6f to %.1f", raw, clamped)
     return clamped

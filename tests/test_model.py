@@ -1,15 +1,42 @@
+import ast
 import logging
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nanogrid_ems import model
 from nanogrid_ems.controller import NanogridParams
 from nanogrid_ems.errors import SlackOverload
 from nanogrid_ems.model import aux_power, battery_soc_update, grid_step, pv_power
 
 import reference_seed
+
+_PARAMS = NanogridParams()
+# The frequencies where a droop clamp switches: PV starts to curtail above
+# the first, and the auxiliary unit reaches its rating at the second.
+_OMEGA_NOM = _PARAMS.omega_nom_rad_s
+_OMEGA_AUX_FULL = _OMEGA_NOM - _PARAMS.p_aux_rating_w * _PARAMS.m_aux_rad_s_per_w
+
+
+@pytest.mark.parametrize(
+    "name", ["pv_power", "aux_power", "grid_step", "battery_soc_update"]
+)
+def test_per_step_plant_calls_no_builtin_min_or_max(name):
+    # A builtin min or max call costs ~6-8x the comparison it makes, and
+    # these functions run every step, so their clamps are written out.
+    tree = ast.parse(Path(model.__file__).read_text(encoding="utf-8"))
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    calls = sorted(
+        node.func.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("min", "max")
+    )
+    assert not calls, f"{name} calls the builtin {', '.join(calls)}"
 
 
 class TestPvPower:
@@ -117,17 +144,33 @@ class TestGridStep:
     @given(
         st.one_of(
             st.floats(min_value=314.0, max_value=314.4),
-            st.sampled_from([314.085, 314.16, 314.32725]),
+            st.sampled_from(
+                [314.085, 314.16, 314.32725, _OMEGA_NOM, _OMEGA_AUX_FULL]
+                + [0.0, -0.0, math.inf, -math.inf, math.nan]
+            ),
         ),
         st.one_of(
             st.floats(0.0, 2230.0),
             st.sampled_from([0.0, -0.0, 5e-324, 2230.0]),
         ),
-        st.one_of(st.floats(0.0, 6000.0), st.sampled_from([0.0, 2230.0])),
+        st.one_of(st.floats(0.0, 6000.0), st.sampled_from([0.0, -0.0, 2230.0])),
     )
+    # Where a clamp written in the wrong argument order parts from the
+    # builtin: a NaN frequency, and a -0.0 power at the clamp's bound.
+    @example(math.nan, 500.0, 500.0)
+    @example(-0.0, -0.0, 1000.0)
+    @example(_OMEGA_NOM, -0.0, -0.0)
+    @example(_OMEGA_AUX_FULL, 0.0, 1000.0)
+    @example(math.inf, 2230.0, -0.0)
+    @example(-math.inf, -0.0, 0.0)
     def test_matches_seed_bit_for_bit(self, omega, avail, load):
         """Same floats and signs of zero, or the same overload message."""
         params = NanogridParams()
+        # Each droop law on its own too: a NaN from one unit makes grid_step
+        # raise whatever the other unit gives.
+        pv = pv_power(omega, avail, params)
+        assert _same_float(pv, reference_seed.pv_power(omega, avail, params))
+        assert _same_float(aux_power(omega, params), reference_seed.aux_power(omega, params))
         try:
             seed = reference_seed.grid_step(omega, avail, load, params)
         except SlackOverload as exc:
@@ -176,13 +219,17 @@ class TestSocUpdate:
         ),
         st.one_of(
             st.floats(min_value=-4000.0, max_value=4000.0),
-            st.sampled_from([0.0, -0.0, -4000.0, 4000.0]),
+            st.sampled_from([0.0, -0.0, -4000.0, 4000.0, math.nan]),
         ),
         st.one_of(
             st.floats(min_value=0.0, max_value=3600.0, exclude_min=True),
             st.sampled_from([5e-324, 1.0, 3600.0]),
         ),
     )
+    @example(50.0, math.nan, 1.0)
+    @example(-0.0, -0.0, 1.0)
+    @example(100.0, 0.0, 1.0)
+    @example(100.0, -0.0, 1.0)
     def test_matches_seed_bit_for_bit(self, soc, p_bat, dt):
         """Same float, same sign of zero and the same clamp records."""
         params = NanogridParams()
@@ -199,6 +246,13 @@ class TestSocUpdate:
         assert new == seed
         assert math.copysign(1.0, new) == math.copysign(1.0, seed)
         assert new_logs == seed_logs
+
+
+def _same_float(a, b):
+    """Equal with the same sign of zero, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def _with_records(logger_name, fn, *args):

@@ -631,8 +631,8 @@ class TestWriteOutputs:
 
     def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
         # Bound: less than 1 B per added row. Holding the whole table at
-        # once, as the value lists, the row strings and the joined text,
-        # costs ~630 B a row here, so doubling the rows would double the
+        # once, as the folded columns, the row strings and the joined text,
+        # costs ~300 B a row here, so doubling the rows would double the
         # peak; block by block the peak is one block's text whatever the
         # row count.
         peaks = {}
@@ -649,9 +649,10 @@ class TestWriteOutputs:
         assert large - small < n_large - n_small
 
     def test_peak_memory_of_a_day(self, tmp_path):
-        # Bound: 1 MiB for a 43 200-row trace. One block's value lists, row
-        # strings and joined text cost ~550 B a row here: ~565 KB at 1 024
-        # rows a block, ~4.5 MB at 8 192.
+        # Bound: 400 KiB for a 43 200-row trace. One block's folded columns,
+        # row strings and joined text cost ~320 B a row here: ~324 KB at
+        # 1 024 rows a block. Lists of the column values in place of the
+        # memoryviews cost ~550 B a row, ~565 KB.
         trace = self._random_trace(43_200)
         tracemalloc.start()
         try:
@@ -659,7 +660,7 @@ class TestWriteOutputs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1024 * 1024
+        assert peak < 400 * 1024
 
 
 class TestLoadScenario:

@@ -2,6 +2,8 @@
 package implementation: membership functions are evaluated vectorially from
 their breakpoints, every rule contributes its own scaled consequent, and the
 centroid comes from plain Riemann summation on a fine grid.
+``random_covering_system`` draws the random rule bases on which the package
+is compared with ``infer_reference``.
 
 A second reference, ``infer_sampled_seed``, keeps the package's original
 sampled inference so the compiled one can be checked to the bit."""
@@ -9,7 +11,14 @@ sampled inference so the compiled one can be checked to the bit."""
 import numpy as np
 
 from nanogrid_ems.errors import EmptyAggregate
-from nanogrid_ems.fuzzy import SAMPLES
+from nanogrid_ems.fuzzy import (
+    SAMPLES,
+    FuzzySystem,
+    LinguisticVariable,
+    MembershipFunction,
+    Rule,
+    triangular,
+)
 
 from fis_dump import term
 
@@ -64,6 +73,47 @@ def infer_reference(system, x1, x2, samples=FINE_SAMPLES):
     if total == 0.0:
         raise ArithmeticError("reference aggregate is empty")
     return float((xs * aggregate).sum() / total)
+
+
+def random_covering_system(rng, lo_range, width_range):
+    """Two inputs on [0, 1] with random covering partitions, three random
+    output terms on [lo, lo + width] and a full 3 x 3 rule table, drawn from
+    ``rng``; ``lo`` and ``width`` are uniform over the given ranges."""
+
+    def partition():
+        k1 = rng.uniform(0.25, 0.45)
+        k2 = rng.uniform(0.55, 0.75)
+        return (
+            ("low", triangular(0.0, 0.0, k2)),
+            ("med", triangular(k1, (k1 + k2) / 2, k2)),
+            ("high", triangular(k1, 1.0, 1.0)),
+        )
+
+    lo = rng.uniform(*lo_range)
+    hi = lo + rng.uniform(*width_range)
+    out_terms = []
+    for i in range(3):
+        points = sorted(rng.uniform(lo, hi) for _ in range(rng.choice([3, 4])))
+        out_terms.append((f"t{i}", MembershipFunction(tuple(points))))
+    rules = tuple(
+        Rule(
+            antecedent=(("a", t1), ("b", t2)),
+            consequent=f"t{rng.randrange(3)}",
+            connective=rng.choice(["and", "and", "or"]),
+            weight=rng.uniform(0.3, 1.0),
+        )
+        for t1 in ("low", "med", "high")
+        for t2 in ("low", "med", "high")
+    )
+    return FuzzySystem(
+        "rand",
+        (
+            LinguisticVariable("a", 0.0, 1.0, partition()),
+            LinguisticVariable("b", 0.0, 1.0, partition()),
+        ),
+        LinguisticVariable("out", lo, hi, tuple(out_terms)),
+        rules,
+    )
 
 
 def calibrated_shift_reference(system, bound, x1, x2, samples=FINE_SAMPLES):

@@ -14,17 +14,10 @@ import pytest
 from nanogrid_ems.cli import main
 from nanogrid_ems.controller import NanogridParams, _margins
 from nanogrid_ems.engine import run_scenario, summarize
-from nanogrid_ems.fuzzy import (
-    FuzzySystem,
-    LinguisticVariable,
-    MembershipFunction,
-    Rule,
-    triangular,
-)
 from nanogrid_ems.model import aux_power, pv_power
 from nanogrid_ems.profiles import load_scenario
 
-from reference_fuzzy import infer_reference
+from reference_fuzzy import infer_reference, random_covering_system
 from trace_rows import rows
 
 
@@ -158,51 +151,13 @@ def test_a7_droop_saturation_exact(params):
         assert pv_power(314.32725, 2230.0, params) == pytest.approx(0.0, abs=1e-9)
 
 
-def _random_system(rng):
-    def partition():
-        k1 = rng.uniform(0.25, 0.45)
-        k2 = rng.uniform(0.55, 0.75)
-        return (
-            ("low", triangular(0.0, 0.0, k2)),
-            ("med", triangular(k1, (k1 + k2) / 2, k2)),
-            ("high", triangular(k1, 1.0, 1.0)),
-        )
-
-    lo = rng.uniform(-1.0, 0.5)
-    hi = lo + rng.uniform(0.4, 2.5)
-    out_terms = []
-    for i in range(3):
-        pts = sorted(rng.uniform(lo, hi) for _ in range(rng.choice([3, 4])))
-        mf = MembershipFunction(tuple(pts))
-        out_terms.append((f"t{i}", mf))
-    rules = tuple(
-        Rule(
-            antecedent=(("a", t1), ("b", t2)),
-            consequent=f"t{rng.randrange(3)}",
-            connective=rng.choice(["and", "and", "or"]),
-            weight=rng.uniform(0.3, 1.0),
-        )
-        for t1 in ("low", "med", "high")
-        for t2 in ("low", "med", "high")
-    )
-    return FuzzySystem(
-        "rand",
-        (
-            LinguisticVariable("a", 0.0, 1.0, partition()),
-            LinguisticVariable("b", 0.0, 1.0, partition()),
-        ),
-        LinguisticVariable("out", lo, hi, tuple(out_terms)),
-        rules,
-    )
-
-
 def test_a8_inference_against_brute_force(params):
     from nanogrid_ems.controller import FuzzyEms
 
     with criterion("A8", "inference matches the fine-grid oracle; corners are exact"):
         rng = random.Random(20260808)
         for _ in range(100):
-            system = _random_system(rng)
+            system = random_covering_system(rng, (-1.0, 0.5), (0.4, 2.5))
             x1, x2 = rng.random(), rng.random()
             width = system.output.hi - system.output.lo
             assert system.infer(x1, x2) == pytest.approx(

@@ -19,7 +19,12 @@ from nanogrid_ems.fuzzy import (
     triangular,
 )
 
-from reference_fuzzy import infer_reference, infer_sampled_seed, term_centroid_seed
+from reference_fuzzy import (
+    infer_reference,
+    infer_sampled_seed,
+    random_covering_system,
+    term_centroid_seed,
+)
 
 STANDARD_TERMS = (
     ("low", triangular(0.0, 0.0, 0.5)),
@@ -283,54 +288,12 @@ class TestInfer:
     def test_matches_reference_on_seeded_random_cases(self):
         rng = random.Random(7)
         for _ in range(10):
-            system, x1, x2 = _random_case(rng)
+            system = random_covering_system(rng, (-2.0, 0.0), (0.5, 3.0))
+            x1, x2 = rng.random(), rng.random()
             width = system.output.hi - system.output.lo
             assert system.infer(x1, x2) == pytest.approx(
                 infer_reference(system, x1, x2, 200_000), abs=1e-4 * width
             )
-
-
-def _random_case(rng):
-    """Random covering partitions, a full rule table and a random input."""
-
-    def partition():
-        k1 = rng.uniform(0.25, 0.45)
-        k2 = rng.uniform(0.55, 0.75)
-        return (
-            ("low", triangular(0.0, 0.0, k2)),
-            ("med", triangular(k1, (k1 + k2) / 2, k2)),
-            ("high", triangular(k1, 1.0, 1.0)),
-        )
-
-    lo = rng.uniform(-2.0, 0.0)
-    hi = lo + rng.uniform(0.5, 3.0)
-
-    def out_term():
-        points = sorted(rng.uniform(lo, hi) for _ in range(rng.choice([3, 4])))
-        return tuple(points)
-
-    out_terms = []
-    for i in range(3):
-        pts = out_term()
-        mf = MembershipFunction(pts)
-        out_terms.append((f"t{i}", mf))
-    output = LinguisticVariable("out", lo, hi, tuple(out_terms))
-
-    rules = tuple(
-        Rule(
-            antecedent=(("a", t1), ("b", t2)),
-            consequent=f"t{rng.randrange(3)}",
-            connective=rng.choice(["and", "and", "or"]),
-            weight=rng.uniform(0.3, 1.0),
-        )
-        for t1 in ("low", "med", "high")
-        for t2 in ("low", "med", "high")
-    )
-    system = FuzzySystem(
-        "rand", (make_variable("a", partition()), make_variable("b", partition())),
-        output, rules,
-    )
-    return system, rng.random(), rng.random()
 
 
 # -- the compiled rule base against the original sampled inference ----------

@@ -12,7 +12,9 @@ scenario with a plain-text profile named ``*.gz``, which numpy would
 decompress by its name, so the line loop parses its text; ``run`` on
 that scenario with a PV profile that holds a ``6_0`` time and a blank row,
 one with a word for a power, and one that is not valid UTF-8, and with
-``dt_s = one``; ``dump-fis``; and ``run`` on a missing scenario.
+``dt_s = one``; ``run`` on the clamping scenario with standard output a
+pipe whose reader has closed; ``dump-fis``; and ``run`` on a missing
+scenario.
 The package is imported under the tracer, so its module-level lines
 count. The script then prints every line of ``src/nanogrid_ems`` that
 holds code, never ran and is not part of a ``raise`` statement, as
@@ -25,6 +27,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import os
 import runpy
 import sys
 import tempfile
@@ -40,9 +43,12 @@ DURATION_S = 600
 MISSING = ">>>>>> "
 
 
-def _run(module: str, argv: list[str]) -> tuple[int, str]:
-    """``python -m MODULE ARGV`` in this process: (status, stderr)."""
-    stdout, stderr = io.StringIO(), io.StringIO()
+def _run(module: str, argv: list[str], stdout=None) -> tuple[int, str]:
+    """``python -m MODULE ARGV`` in this process: (status, stderr).
+
+    Standard output goes to the text stream ``stdout``, or else is discarded.
+    """
+    stdout, stderr = stdout or io.StringIO(), io.StringIO()
     saved, sys.argv = sys.argv, [module, *argv]
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -118,14 +124,20 @@ def exercise(work: Path) -> list[str]:
         clamp.read_text(encoding="utf-8") + "dt_s = one\n", encoding="utf-8"
     )
     commands.append((CLI, ["run", str(word_dt), "--out", out], 1))
+    # The summary fits the stream's buffer, so the failure comes at the flush.
+    read, write = os.pipe()
+    os.close(read)
+    broken = open(write, "w", encoding="utf-8")
+    commands.append((CLI, ["run", str(clamp), "--out", out], 1, broken))
     commands.append((CLI, ["dump-fis", "--out", str(work / "out" / "fis.cfg")], 0))
     commands.append((CLI, ["run", str(work / "missing.cfg"), "--out", out], 1))
 
     failures = []
-    for module, argv, expected in commands:
-        status, stderr = _run(module, argv)
-        if status != expected:
-            failures.append(f"{module} {' '.join(argv)}: exit {status}: {stderr}")
+    with broken:
+        for module, argv, expected, *stdout in commands:
+            status, stderr = _run(module, argv, *stdout)
+            if status != expected:
+                failures.append(f"{module} {' '.join(argv)}: exit {status}: {stderr}")
     return failures
 
 

@@ -10,6 +10,7 @@ files; the exit status is 0 exactly when no error occurred.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -37,6 +38,17 @@ _COMPARE_COLUMNS = (
 )
 
 
+def _print(text: str) -> None:
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
+    try:
+        print(text, end="", flush=True)
+    except OSError:
+        # Python flushes stdout again at exit; point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
 def _run_one(loaded, kind, out_dir):
     """Run ``loaded`` under controller ``kind``, write its files, return its metrics."""
     scenario, pv, load = loaded
@@ -50,7 +62,7 @@ def _run_one(loaded, kind, out_dir):
 def cmd_run(args) -> int:
     loaded = load_scenario(args.scenario)
     metrics = _run_one(loaded, args.controller or loaded[0].controller, args.out)
-    sys.stdout.write(render_summary(metrics))
+    _print(render_summary(metrics))
     return 0
 
 
@@ -65,7 +77,7 @@ def cmd_compare(args) -> int:
         table.append((kind, *(format_value(values[c]) for c in _COMPARE_COLUMNS[1:])))
     widths = [max(map(len, col)) for col in zip(*table)]
     for row in table:
-        sys.stdout.write("  ".join(map(str.ljust, row, widths)).rstrip() + "\n")
+        _print("  ".join(map(str.ljust, row, widths)).rstrip() + "\n")
     return 0
 
 

@@ -6,7 +6,8 @@ degrees; the consequent term is scaled by ``weight * activation`` and
 the scaled consequents are aggregated pointwise with max.  The crisp
 output is the centroid of the aggregate, integrated by the midpoint
 rule over a fixed number of uniform samples of the output universe, so
-identical inputs always produce bit-identical outputs.
+identical inputs always produce bit-identical outputs.  No constructor
+checks its input; the one builder is ``controller.build_guard_system``.
 
 ``FuzzySystem`` compiles its rule base once, at construction, into one
 straight-line Python function from the two crisp inputs to the strength
@@ -25,7 +26,6 @@ outputs are pinned to the bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +42,7 @@ _EMPTY_SUM = 1e-12 * SAMPLES
 
 @dataclass(frozen=True)
 class MembershipFunction:
-    """Triangle (3 breakpoints) or trapezoid (4 breakpoints).
+    """Triangle (3 breakpoints) or trapezoid (4), finite and non-decreasing.
 
     Coincident breakpoints express shoulders: ``tri(a, a, c)`` is a left
     shoulder, ``tri(a, c, c)`` a right shoulder.  ``corners`` is
@@ -52,12 +52,6 @@ class MembershipFunction:
     points: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.points) not in (3, 4):
-            raise ValueError("membership function needs 3 or 4 breakpoints")
-        if not all(math.isfinite(p) for p in self.points):
-            raise ValueError("breakpoints must be finite")
-        if any(b < a for a, b in zip(self.points, self.points[1:])):
-            raise ValueError("breakpoints must be non-decreasing")
         pts = self.points
         corners = (pts[0], pts[1], pts[1], pts[2]) if len(pts) == 3 else pts
         object.__setattr__(self, "corners", corners)
@@ -85,26 +79,12 @@ def mf_eval(mf: MembershipFunction, x: float) -> float:
 
 @dataclass(frozen=True)
 class LinguisticVariable:
-    """Named variable over a real interval with ordered, named terms."""
+    """Named variable over finite ``lo < hi``; one or more distinct terms inside it."""
 
     name: str
     lo: float
     hi: float
     terms: tuple[tuple[str, MembershipFunction], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError(f"variable {self.name!r} needs at least one term")
-        names = [t for t, _ in self.terms]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate term names in {self.name!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"bad universe for {self.name!r}")
-        for term, mf in self.terms:
-            if mf.points[0] < self.lo or mf.points[-1] > self.hi:
-                raise ValueError(
-                    f"term {term!r} of {self.name!r} extends outside the universe"
-                )
 
     def term_names(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.terms)
@@ -117,25 +97,17 @@ def fuzzify(var: LinguisticVariable, x: float) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class Rule:
-    """IF <antecedent clauses joined by one connective> THEN <output term>."""
+    """IF <1-2 clauses joined by AND or OR> THEN <output term>; weight in [0, 1]."""
 
     antecedent: tuple[tuple[str, str], ...]  # (variable name, term name)
     consequent: str
     connective: str = AND
     weight: float = 1.0
 
-    def __post_init__(self):
-        if self.connective not in (AND, OR):
-            raise ValueError(f"unknown connective {self.connective!r}")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("rule weight must lie in [0, 1]")
-        if not 1 <= len(self.antecedent) <= 2:
-            raise ValueError("rules take one or two antecedent clauses")
-
 
 @dataclass(eq=True)
 class FuzzySystem:
-    """Two inputs, one output, and a rule base; immutable after construction."""
+    """Two distinctly named inputs, one output and rules over their terms; immutable."""
 
     name: str
     inputs: tuple[LinguisticVariable, LinguisticVariable]
@@ -143,20 +115,6 @@ class FuzzySystem:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        if len(self.inputs) != 2:
-            raise ValueError("exactly two input variables are supported")
-        by_name = {v.name: v for v in self.inputs}
-        if len(by_name) != 2:
-            raise ValueError("input variables must have distinct names")
-        out_terms = set(self.output.term_names())
-        for rule in self.rules:
-            for var, term in rule.antecedent:
-                if var not in by_name:
-                    raise ValueError(f"rule references unknown variable {var!r}")
-                if term not in by_name[var].term_names():
-                    raise ValueError(f"variable {var!r} has no term {term!r}")
-            if rule.consequent not in out_terms:
-                raise ValueError(f"output has no term {rule.consequent!r}")
         self._compile()
 
     def _compile(self):

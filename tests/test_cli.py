@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,13 @@ from nanogrid_ems.cli import main
 from nanogrid_ems.profiles import data_dir
 
 from fis_dump import parse_fuzzy_systems
+
+
+def child_env(environ):
+    """``environ`` with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(nanogrid_ems.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    return {**environ, "PYTHONPATH": path}
 
 
 def write_profile(path, rows):
@@ -83,17 +91,45 @@ def test_soc_clamps_print_nothing_on_stderr(tmp_path, load_rows, status, err):
         "name = empty\npv_profile = pv.csv\nload_profile = load.csv\n"
         "soc_init_pct = 0\nduration_s = 60\n"
     )
-    src = str(Path(nanogrid_ems.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = ["run", str(cfg), "--out", str(tmp_path / "out")]
     child = subprocess.run(
         [sys.executable, "-m", "nanogrid_ems", *argv],
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(os.environ),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert (child.returncode, child.stderr) == (status, err)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("stdout", ["full", "broken_pipe", "closed"])
+def test_failing_stdout_is_one_error_line(tiny_scenario, tmp_path, command, stdout):
+    # With PYTHONUNBUFFERED unset, as by default, the summary waits in
+    # stdout's buffer, so a full disk or a closed pipe fails at the flush;
+    # a closed stdout is None in the child.
+    env = child_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"})
+    argv = [sys.executable, "-m", "nanogrid_ems", command, str(tiny_scenario)]
+    argv += ["--out", str(tmp_path / "out")]
+    run = partial(
+        subprocess.run, env=env, stderr=subprocess.PIPE, text=True, timeout=120
+    )
+    if stdout == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            child = run(argv, stdout=full)
+    elif stdout == "broken_pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = run(argv, stdout=write)
+        finally:
+            os.close(write)
+    else:
+        child = run(["sh", "-c", 'exec "$@" >&-', "sh", *argv])
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
 
 
 def test_run_missing_profile_names_path(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -80,15 +79,6 @@ class TestMembership:
         assert mf_eval(mf, 0.1) == pytest.approx(0.5)
         assert mf_eval(mf, 0.8) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize(
-        "points", [(0.5, 0.2, 1.0), (0.0, 0.5), (0.0, math.inf, 1.0)]
-    )
-    def test_invalid_breakpoints_rejected(self, points):
-        from nanogrid_ems.fuzzy import MembershipFunction
-
-        with pytest.raises(ValueError):
-            MembershipFunction(tuple(points))
-
     @given(st.floats(min_value=-2, max_value=3), st.data())
     def test_degree_always_in_unit_interval(self, x, data):
         pts = sorted(
@@ -115,38 +105,6 @@ class TestFuzzify:
 
     def test_left_edge(self):
         assert fuzzify(make_variable(), 0.0) == {"low": 1.0, "med": 0.0, "high": 0.0}
-
-    def test_duplicate_term_names_rejected(self):
-        with pytest.raises(ValueError):
-            LinguisticVariable(
-                "x", 0.0, 1.0, (("t", triangular(0, 0, 1)), ("t", triangular(0, 1, 1)))
-            )
-
-    def test_term_outside_universe_rejected(self):
-        with pytest.raises(ValueError):
-            LinguisticVariable("x", 0.0, 1.0, (("t", triangular(0.0, 0.5, 1.5)),))
-
-
-class TestRuleValidation:
-    def test_weight_range(self):
-        with pytest.raises(ValueError):
-            Rule((("a", "low"),), "lo", weight=1.5)
-
-    def test_connective(self):
-        with pytest.raises(ValueError):
-            Rule((("a", "low"),), "lo", connective="xor")
-
-    def test_unknown_variable_rejected_by_system(self):
-        with pytest.raises(ValueError):
-            make_system([Rule((("nope", "low"),), "lo")])
-
-    def test_unknown_term_rejected_by_system(self):
-        with pytest.raises(ValueError):
-            make_system([Rule((("a", "tiny"),), "lo")])
-
-    def test_unknown_consequent_rejected_by_system(self):
-        with pytest.raises(ValueError):
-            make_system([Rule((("a", "low"),), "nope")])
 
 
 class TestInfer:

@@ -17,5 +17,5 @@ def test_only_fuzzify_is_unreached():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout == (
-        "nanogrid_ems/fuzzy.py:115: return {t: mf_eval(mf, x) for t, mf in var.terms}\n"
+        "nanogrid_ems/fuzzy.py:95: return {t: mf_eval(mf, x) for t, mf in var.terms}\n"
     )

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
-from .fuzzy import FuzzySystem, LinguisticVariable, Rule, triangular
+from .fuzzy import SAMPLES, FuzzySystem, LinguisticVariable, Rule, triangular
 
 
 def require_finite(config) -> None:
@@ -56,12 +56,19 @@ class NanogridParams:
         for f in fields(self):
             if not f.name.endswith("_pct") and getattr(self, f.name) <= 0:
                 raise ValidationError("ratings, limits and droop slopes must be positive")
-        # Products of positive finite values can still underflow to 0 or
-        # overflow to inf.
+        # A guard samples [0, bound] at SAMPLES midpoints: its sample step
+        # must not underflow to 0, nor its SAMPLES-point sums overflow.
         for name in ("d_omega_plus_max", "d_omega_minus_max"):
             bound = getattr(self, name)
-            if not 0.0 < bound < self.omega_nom_rad_s:
-                raise ValidationError(f"{name} = {bound!r} outside (0, omega_nom_rad_s)")
+            if not (
+                bound / SAMPLES > 0.0
+                and bound * SAMPLES < math.inf
+                and bound < self.omega_nom_rad_s
+            ):
+                raise ValidationError(
+                    f"{name} = {bound!r} outside (0, omega_nom_rad_s), or its"
+                    f" {SAMPLES}-sample grid leaves the float range"
+                )
         if not 0.0 < self.e_bat_wh < math.inf:
             raise ValidationError(f"e_bat_wh = {self.e_bat_wh!r} must be finite and > 0")
 
@@ -161,25 +168,17 @@ def build_guard_system(name: str, span: float) -> FuzzySystem:
     return FuzzySystem(name, (soc_margin, power_margin), output, rules)
 
 
-def _guard(name: str, bound_name: str, bound: float):
+def _guard(name: str, bound: float):
     """``(system, shift)``: one guard of width ``abs(bound)`` and its shift.
 
     ``shift(x1, x2)`` maps the zero and large terms' centroids to 0 and 1,
     clamps with min(1.0, max(0.0, x))'s comparisons written out, and
-    scales by ``bound``.  ``bound_name`` is named in the error raised when
-    the sampled centroids overflow or collapse.
+    scales by ``bound``, which ``NanogridParams`` holds inside the float
+    range that the sampled centroids need.
     """
-    width = abs(bound)
-    system = build_guard_system(name, width)
+    system = build_guard_system(name, abs(bound))
     c0 = system.term_centroid("zero")
-    c1 = system.term_centroid("large")
-    span = c1 - c0
-    if not (math.isfinite(c0) and math.isfinite(c1) and 0.0 < span < math.inf):
-        raise ValidationError(
-            f"{bound_name} = {width!r} gives {name} a zero centroid of {c0!r}"
-            f" and a large centroid of {c1!r}; both must be finite, the large"
-            " one the larger"
-        )
+    span = system.term_centroid("large") - c0
 
     def shift(x1: float, x2: float) -> float:
         x = (system.infer(x1, x2) - c0) / span
@@ -206,10 +205,10 @@ class FuzzyEms:
         # Negating the bound once equals negating every shift: -(b * c) is
         # (-b) * c bit for bit.
         self.overcharge_guard, self.shift_plus = _guard(
-            "overcharge_guard", "d_omega_plus_max", params.d_omega_plus_max
+            "overcharge_guard", params.d_omega_plus_max
         )
         self.depletion_guard, self.shift_minus = _guard(
-            "depletion_guard", "d_omega_minus_max", -params.d_omega_minus_max
+            "depletion_guard", -params.d_omega_minus_max
         )
         self._margins = _margins(params)
 

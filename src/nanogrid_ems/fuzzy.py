@@ -156,13 +156,10 @@ class FuzzySystem:
             np.array([mf_eval(mf, float(x)) for x in xs]) for _, mf in self.output.terms
         )
         self._term_masses = tuple(float(values.sum()) for values in self._term_values)
-        # A universe near the float range overflows the sums; the centroid is
-        # then inf or nan, for the caller to reject, rather than a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._term_centroids = tuple(
-                float(np.dot(xs, values) / mass) if mass > 0.0 else None
-                for values, mass in zip(self._term_values, self._term_masses)
-            )
+        self._term_centroids = tuple(
+            float(np.dot(xs, values) / mass) if mass > 0.0 else None
+            for values, mass in zip(self._term_values, self._term_masses)
+        )
 
     def term_centroid(self, term: str) -> float:
         """Centroid of one output term alone, on the same sample grid as infer."""

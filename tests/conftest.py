@@ -36,3 +36,29 @@ def undershoot():
         np.array([315.49747073105164, 315.49747073105164, 0.0, 0.0]),
     )
     return profile, math.nextafter(zero_t_s, 0.0)
+
+
+@pytest.fixture
+def write_scenario(tmp_path):
+    """``write(name, pv, load, *lines)`` writes ``<name>.cfg`` in ``tmp_path``.
+
+    ``pv`` and ``load`` are each a list of ``t_s,power_w`` rows, written to
+    ``pv.csv`` or ``load.csv`` beside the config, or a profile reference
+    written as given.  The config names the scenario and its two profiles,
+    then holds ``lines``, one a line.  ``write`` gives the config's path.
+    """
+
+    def write(name, pv, load, *lines):
+        refs = []
+        for kind, profile in (("pv", pv), ("load", load)):
+            if isinstance(profile, list):
+                text = "t_s,power_w\n" + "\n".join(profile) + "\n"
+                (tmp_path / f"{kind}.csv").write_text(text)
+                profile = f"{kind}.csv"
+            refs.append(profile)
+        head = (f"name = {name}", f"pv_profile = {refs[0]}", f"load_profile = {refs[1]}")
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in (*head, *lines)))
+        return cfg
+
+    return write

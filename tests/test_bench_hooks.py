@@ -22,16 +22,15 @@ def load_tracing():
 
 
 @pytest.fixture
-def hooks_scenario(tmp_path):
+def hooks_scenario(write_scenario):
     """A 60-step scenario with its two profiles."""
-    (tmp_path / "pv.csv").write_text("t_s,power_w\n0,2230\n60,2230\n")
-    (tmp_path / "load.csv").write_text("t_s,power_w\n0,100\n60,100\n")
-    cfg = tmp_path / "hooks.cfg"
-    cfg.write_text(
-        "name = hooks\npv_profile = pv.csv\nload_profile = load.csv\n"
-        "soc_init_pct = 60\nduration_s = 60\n"
+    return write_scenario(
+        "hooks",
+        ["0,2230", "60,2230"],
+        ["0,100", "60,100"],
+        "soc_init_pct = 60",
+        "duration_s = 60",
     )
-    return cfg
 
 
 def test_traced_run_counts_every_step(hooks_scenario, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 import nanogrid_ems
 from nanogrid_ems import __version__
 from nanogrid_ems.cli import main
+from nanogrid_ems.controller import CONTROLLER_KINDS
 from nanogrid_ems.profiles import data_dir
 
 from fis_dump import parse_fuzzy_systems
@@ -23,32 +24,33 @@ def child_env(environ):
     return {**environ, "PYTHONPATH": path}
 
 
-def write_profile(path, rows):
-    path.write_text("t_s,power_w\n" + "\n".join(rows) + "\n")
+def one_error_line(err):
+    """The one line of ``err``, which starts ``error: ``; no traceback precedes it."""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "Traceback" not in err
+    return lines[0]
 
 
 @pytest.fixture
-def tiny_scenario(tmp_path):
+def tiny_scenario(write_scenario):
     """Short scenario: large PV surplus into a small load at mid SOC."""
-    write_profile(tmp_path / "pv.csv", ["0,2230", "600,2230"])
-    write_profile(tmp_path / "load.csv", ["0,100", "600,100"])
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(
-        "name = tiny\npv_profile = pv.csv\nload_profile = load.csv\n"
-        "soc_init_pct = 60\nduration_s = 600\n"
+    return write_scenario(
+        "tiny",
+        ["0,2230", "600,2230"],
+        ["0,100", "600,100"],
+        "soc_init_pct = 60",
+        "duration_s = 600",
     )
-    return cfg
 
 
 @pytest.fixture
-def dead_scenario(tmp_path):
-    write_profile(tmp_path / "zero.csv", ["0,0", "600,0"])
-    cfg = tmp_path / "dead.cfg"
-    cfg.write_text(
-        "name = dead\npv_profile = zero.csv\nload_profile = zero.csv\n"
-        "soc_init_pct = 60\nduration_s = 600\n"
+def dead_scenario(write_scenario):
+    # Both profiles read the one all-zero file.
+    return write_scenario(
+        "dead", ["0,0", "600,0"], "pv.csv", "soc_init_pct = 60", "duration_s = 600"
     )
-    return cfg
 
 
 def test_version_flag(capsys):
@@ -81,15 +83,13 @@ def test_run_writes_outputs_and_prints_summary(tiny_scenario, tmp_path, capsys):
         (["0,1500", "60,1500"], 0, ""),
     ],
 )
-def test_soc_clamps_print_nothing_on_stderr(tmp_path, load_rows, status, err):
+def test_soc_clamps_print_nothing_on_stderr(
+    tmp_path, write_scenario, load_rows, status, err
+):
     # A child process has the real stderr: in-process, pytest's log capture
     # would hide clamp records that Python's last-resort handler prints.
-    write_profile(tmp_path / "pv.csv", ["0,0", "60,0"])
-    write_profile(tmp_path / "load.csv", load_rows)
-    cfg = tmp_path / "empty.cfg"
-    cfg.write_text(
-        "name = empty\npv_profile = pv.csv\nload_profile = load.csv\n"
-        "soc_init_pct = 0\nduration_s = 60\n"
+    cfg = write_scenario(
+        "empty", ["0,0", "60,0"], load_rows, "soc_init_pct = 0", "duration_s = 60"
     )
     argv = ["run", str(cfg), "--out", str(tmp_path / "out")]
     child = subprocess.run(
@@ -132,42 +132,37 @@ def test_failing_stdout_is_one_error_line(tiny_scenario, tmp_path, command, stdo
     assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
 
 
-def test_run_missing_profile_names_path(tmp_path, capsys):
+def test_run_missing_profile_names_path(tmp_path, write_scenario, capsys):
     # A reference to nothing, then one to a directory: open() raises for both.
     (tmp_path / "profiles").mkdir()
     for ref in ("missing.csv", "profiles"):
-        cfg = tmp_path / "broken.cfg"
-        cfg.write_text(f"pv_profile = {ref}\nload_profile = {ref}\nsoc_init_pct = 50\n")
+        cfg = write_scenario("broken", ref, ref, "soc_init_pct = 50")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ") and str(tmp_path / ref) in lines[0]
+        assert str(tmp_path / ref) in one_error_line(capsys.readouterr().err)
 
 
-def test_nan_in_profile_is_one_error_line(tmp_path, capsys):
-    write_profile(tmp_path / "pv.csv", ["0,2230", "300,nan", "600,2230"])
-    write_profile(tmp_path / "load.csv", ["0,100", "600,100"])
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text(
-        "name = nan\npv_profile = pv.csv\nload_profile = load.csv\n"
-        "soc_init_pct = 60\nduration_s = 600\n"
+def test_nan_in_profile_is_one_error_line(tmp_path, write_scenario, capsys):
+    cfg = write_scenario(
+        "nan",
+        ["0,2230", "300,nan", "600,2230"],
+        ["0,100", "600,100"],
+        "soc_init_pct = 60",
+        "duration_s = 600",
     )
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and "non-finite" in lines[0]
-    assert "Traceback" not in captured.err
+    assert "non-finite" in one_error_line(capsys.readouterr().err)
     assert not out.exists()
 
 
-def test_late_bad_profile_row_is_one_error_line(tiny_scenario, tmp_path, capsys):
+def test_late_bad_profile_row_is_one_error_line(tmp_path, write_scenario, capsys):
     # numpy's reader refuses the file; the line loop names the row.
     rows = [f"{i / 1000},100" for i in range(100_000)]
     rows[89_999] = "89.999,1e"  # line 1 is the header
-    write_profile(tmp_path / "load.csv", rows)
-    assert main(["run", str(tiny_scenario), "--out", str(tmp_path / "out")]) == 1
+    cfg = write_scenario(
+        "late", ["0,2230", "600,2230"], rows, "soc_init_pct = 60", "duration_s = 600"
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
         f"error: line 90001: {tmp_path / 'load.csv'}: "
@@ -192,11 +187,7 @@ def test_non_finite_config_value_is_one_error_line(
         tiny_scenario.read_text().replace("duration_s = 600\n", "") + line + "\n"
     )
     assert main(["run", str(tiny_scenario), "--out", str(tmp_path / "out")]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and "must be finite" in lines[0]
-    assert "Traceback" not in captured.err
+    assert "must be finite" in one_error_line(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(
@@ -213,46 +204,56 @@ def test_non_finite_config_value_is_one_error_line(
         ("params.v_bat_v = 1e-300", "dt_s = 1.0 lets one step"),
         ("params.soc_max_pct = 1e300", "SOC thresholds"),
         ("params.soc_min_pct = -5", "SOC thresholds"),
+        # A shift step of 0 on a guard's sample grid: its large term had no
+        # mass, and the error named no config value.
+        ("params.p_aux_rating_w = 1e-318", "d_omega_minus_max = 7.4e-323 outside"),
         # Bounds below omega_nom whose guards' sampled centroid sums overflow:
         # the run exited 0 with a constant shift of 0 and no curtailment.
         (
             "params.omega_nom_rad_s = 1e308\nparams.m_pv_rad_s_per_w = 1e303",
-            "d_omega_plus_max = 2.23e+306 gives overcharge_guard",
+            "d_omega_plus_max = 2.23e+306 outside",
         ),
         (
             "params.omega_nom_rad_s = 1e308\nparams.m_aux_rad_s_per_w = 2e303",
-            "d_omega_minus_max = 2e+306 gives depletion_guard",
+            "d_omega_minus_max = 2e+306 outside",
         ),
     ],
 )
-def test_extreme_plant_value_is_one_error_line(tmp_path, line, reason, capsys):
-    """60 s over the bundled profiles: each value broke a guard or the SOC."""
+def test_extreme_plant_value_is_one_error_line(
+    tmp_path, write_scenario, line, reason, capsys
+):
+    """60 s over the bundled profiles: each value broke a guard or the SOC.
+
+    The plant rules do not depend on the controller, so both give the line.
+    """
     data = data_dir()
-    cfg = tmp_path / "plant.cfg"
-    cfg.write_text(
-        f"name = plant\npv_profile = {data / 'pv_clear_day.csv'}\n"
-        f"load_profile = {data / 'load_residential.csv'}\n"
-        f"soc_init_pct = 50\nduration_s = 60\n{line}\n"
+    cfg = write_scenario(
+        "plant",
+        data / "pv_clear_day.csv",
+        data / "load_residential.csv",
+        "soc_init_pct = 50",
+        "duration_s = 60",
+        line,
     )
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and reason in lines[0]
-    assert "Traceback" not in captured.err
-    assert not out.exists()
+    for controller in CONTROLLER_KINDS:
+        argv = ["run", str(cfg), "--out", str(out), "--controller", controller]
+        assert main(argv) == 1, controller
+        assert reason in one_error_line(capsys.readouterr().err), controller
+        assert not out.exists()
 
 
-def test_tiny_shift_bound_runs(tmp_path, capsys):
+def test_tiny_shift_bound_runs(tmp_path, write_scenario, capsys):
     # The overcharge guard's output spans 7.5e-15 rad/s; an absolute
     # empty-aggregate threshold called every aggregate on it empty.
     data = data_dir()
-    cfg = tmp_path / "plant.cfg"
-    cfg.write_text(
-        f"name = plant\npv_profile = {data / 'pv_clear_day.csv'}\n"
-        f"load_profile = {data / 'load_residential.csv'}\n"
-        "soc_init_pct = 50\nduration_s = 60\nparams.p_pv_rating_w = 1e-10\n"
+    cfg = write_scenario(
+        "plant",
+        data / "pv_clear_day.csv",
+        data / "load_residential.csv",
+        "soc_init_pct = 50",
+        "duration_s = 60",
+        "params.p_pv_rating_w = 1e-10",
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     captured = capsys.readouterr()
@@ -279,17 +280,19 @@ def test_name_outside_the_output_directory_is_one_error_line(
     assert not out.exists()
 
 
-def test_overflowing_energy_total_is_one_error_line(tmp_path, capsys):
+def test_overflowing_energy_total_is_one_error_line(tmp_path, write_scenario, capsys):
     # The turbine exactly carries a load of 2**1020 W, so the battery idles
     # while the aux energy sum overflows after 16 steps.
     big = repr(2.0**1020)
-    write_profile(tmp_path / "zero.csv", ["0,0", "60,0"])
-    write_profile(tmp_path / "big.csv", [f"0,{big}", f"60,{big}"])
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text(
-        "name = big\npv_profile = zero.csv\nload_profile = big.csv\n"
-        "soc_init_pct = 0\nduration_s = 20\ncontroller = proportional\n"
-        f"params.p_aux_rating_w = {big}\nparams.m_aux_rad_s_per_w = {2.0**-1030!r}\n"
+    cfg = write_scenario(
+        "big",
+        ["0,0", "60,0"],
+        [f"0,{big}", f"60,{big}"],
+        "soc_init_pct = 0",
+        "duration_s = 20",
+        "controller = proportional",
+        f"params.p_aux_rating_w = {big}",
+        f"params.m_aux_rad_s_per_w = {2.0**-1030!r}",
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
@@ -297,23 +300,23 @@ def test_overflowing_energy_total_is_one_error_line(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_overflowing_load_multiplier_is_one_error_line(tmp_path, capsys):
+def test_overflowing_load_multiplier_is_one_error_line(
+    tmp_path, write_scenario, capsys
+):
     # 2 W times the largest float overflowed in numpy's multiply, which
     # printed a RuntimeWarning before the battery's error line.
-    write_profile(tmp_path / "pv.csv", ["0,0", "60,0"])
-    write_profile(tmp_path / "load.csv", ["0,2", "60,1"])
-    cfg = tmp_path / "scaled.cfg"
-    cfg.write_text(
-        "name = scaled\npv_profile = pv.csv\nload_profile = load.csv\n"
-        "load_multiplier = 1.7976931348623157e308\nsoc_init_pct = 0\nduration_s = 1\n"
+    cfg = write_scenario(
+        "scaled",
+        ["0,0", "60,0"],
+        ["0,2", "60,1"],
+        "load_multiplier = 1.7976931348623157e308",
+        "soc_init_pct = 0",
+        "duration_s = 1",
     )
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: load_multiplier = ")
-    assert "Traceback" not in captured.err
+    line = one_error_line(capsys.readouterr().err)
+    assert line.startswith("error: load_multiplier = ")
     assert not out.exists()
 
 
@@ -325,11 +328,7 @@ def test_invalid_utf8_is_one_error_line(tiny_scenario, tmp_path, bad_file, capsy
     rows[0 if bad_file == "tiny.cfg" else 2] += b"\xff"
     path.write_bytes(b"\n".join(rows))
     assert main(["run", str(tiny_scenario), "--out", str(tmp_path / "out")]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ") and f"{bad_file}: not valid UTF-8" in lines[0]
-    assert "Traceback" not in captured.err
+    assert f"{bad_file}: not valid UTF-8" in one_error_line(capsys.readouterr().err)
 
 
 def test_run_missing_scenario(tmp_path, capsys):
@@ -338,9 +337,7 @@ def test_run_missing_scenario(tmp_path, capsys):
         assert main(["run", str(tmp_path / name), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert name in err
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert str(tmp_path / name) in lines[0]
+        assert str(tmp_path / name) in one_error_line(err)
 
 
 def test_proportional_override_exposes_violations(tiny_scenario, tmp_path, capsys):
@@ -432,19 +429,22 @@ def test_compare_cells_read_as_their_summary_lines(tmp_path, capsys):
     ids=["load", "pv"],
 )
 def test_undershooting_sample_writes_no_negative_power(
-    tmp_path, capsys, undershoot, column, cells
+    tmp_path, write_scenario, capsys, undershoot, column, cells
 ):
     profile, t_s = undershoot
-    rows = zip(profile.t_s.tolist(), profile.power_w.tolist())
-    write_profile(tmp_path / "undershoot.csv", [f"{t!r},{p!r}" for t, p in rows])
+    pairs = zip(profile.t_s.tolist(), profile.power_w.tolist())
+    rows = [f"{t!r},{p!r}" for t, p in pairs]
     flat = "0" if column == "load" else "100"
-    write_profile(tmp_path / "flat.csv", [f"0,{flat}", f"400,{flat}"])
-    pv, load = ("undershoot", "flat") if column == "pv" else ("flat", "undershoot")
-    cfg = tmp_path / "u.cfg"
-    cfg.write_text(
-        f"name = u\npv_profile = {pv}.csv\nload_profile = {load}.csv\n"
-        f"soc_init_pct = 60\ncontroller = proportional\ndt_s = {t_s!r}\n"
-        "duration_s = 380\n"
+    flat_rows = [f"0,{flat}", f"400,{flat}"]
+    pv, load = (rows, flat_rows) if column == "pv" else (flat_rows, rows)
+    cfg = write_scenario(
+        "u",
+        pv,
+        load,
+        "soc_init_pct = 60",
+        "controller = proportional",
+        f"dt_s = {t_s!r}",
+        "duration_s = 380",
     )
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 0

@@ -109,6 +109,61 @@ class TestParams:
             NanogridParams(**{name: value})
 
 
+# The ends of the shift bounds that NanogridParams accepts. 501 is the least
+# multiple of the smallest subnormal whose 1001st part is not 0; the greatest
+# bound times 1001 is the largest finite float.
+LEAST_BOUND = 501 * math.ulp(0.0)
+GREATEST_BOUND = 1.795897237624691e305
+
+
+def bound_params(plus, minus):
+    """Default params with exactly these two shift bounds, both below omega_nom."""
+    return NanogridParams(
+        omega_nom_rad_s=2.0 * max(plus, minus),
+        p_pv_rating_w=1.0,
+        m_pv_rad_s_per_w=plus,
+        p_aux_rating_w=1.0,
+        m_aux_rad_s_per_w=minus,
+    )
+
+
+class TestShiftBoundRange:
+    """Every bound that NanogridParams accepts builds working guards."""
+
+    def test_guards_work_at_the_ends_and_every_power_of_two(self):
+        assert 2.0**-1066 < LEAST_BOUND < 2.0**-1065
+        assert 2.0**1014 < GREATEST_BOUND < 2.0**1015
+        bounds = [LEAST_BOUND, *(2.0**k for k in range(-1065, 1015)), GREATEST_BOUND]
+        # Each controller takes one bound from each half of the list, so
+        # every bound spans one guard once.
+        half = len(bounds) // 2
+        for plus_max, minus_max in zip(bounds[:half], reversed(bounds[half:])):
+            params = bound_params(plus_max, minus_max)
+            ems = FuzzyEms(params)
+            for guard in (ems.overcharge_guard, ems.depletion_guard):
+                zero, large = guard.term_centroid("zero"), guard.term_centroid("large")
+                assert math.isfinite(zero) and math.isfinite(large), params
+                assert zero < large, params
+            # The four (soc margin, power margin) corners of both guards. The
+            # ordered comparisons fail for a nan or an infinite shift.
+            for soc in (params.soc_min_pct, params.soc_max_pct):
+                for p_bat in (-params.p_discharge_max_w, params.p_charge_max_w):
+                    plus, minus, _ = ems.step(soc, p_bat)
+                    assert 0.0 <= plus <= plus_max, params
+                    assert -minus_max <= minus <= 0.0, params
+
+    @pytest.mark.parametrize("name", ["d_omega_plus_max", "d_omega_minus_max"])
+    @pytest.mark.parametrize(
+        "bound",
+        [math.nextafter(LEAST_BOUND, 0.0), math.nextafter(GREATEST_BOUND, math.inf)],
+        ids=["below", "above"],
+    )
+    def test_one_ulp_outside_is_rejected(self, name, bound):
+        plus, minus = (bound, 1.0) if name == "d_omega_plus_max" else (1.0, bound)
+        with pytest.raises(ValidationError, match=name):
+            bound_params(plus, minus)
+
+
 class TestNormalizations:
     """Hand-computed values of the four margins, exact to 1e-12."""
 

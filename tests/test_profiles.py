@@ -664,31 +664,28 @@ class TestWriteOutputs:
 
 
 class TestLoadScenario:
-    def test_relative_profile_resolution(self, tmp_path):
-        (tmp_path / "pv.csv").write_text(profile_text(["0,0", "60,0"]))
-        (tmp_path / "load.csv").write_text(profile_text(["0,100", "60,100"]))
-        (tmp_path / "sc.cfg").write_text(
-            "pv_profile = pv.csv\nload_profile = load.csv\n"
-            "soc_init_pct = 50\nduration_s = 60\n"
+    def test_relative_profile_resolution(self, write_scenario):
+        cfg = write_scenario(
+            "sc",
+            ["0,0", "60,0"],
+            ["0,100", "60,100"],
+            "soc_init_pct = 50",
+            "duration_s = 60",
         )
-        scenario, pv, load = load_scenario(tmp_path / "sc.cfg")
+        scenario, pv, load = load_scenario(cfg)
         assert pv.power_w.tolist() == [0.0, 0.0]
         assert load.power_w.tolist() == [100.0, 100.0]
         assert scenario.duration_s == 60.0
 
-    def test_missing_profile_names_path(self, tmp_path):
-        (tmp_path / "sc.cfg").write_text(
-            "pv_profile = nope.csv\nload_profile = nope.csv\nsoc_init_pct = 50\n"
-        )
+    def test_missing_profile_names_path(self, write_scenario):
+        cfg = write_scenario("sc", "nope.csv", "nope.csv", "soc_init_pct = 50")
         with pytest.raises(FileNotFoundError, match="nope.csv"):
-            load_scenario(tmp_path / "sc.cfg")
+            load_scenario(cfg)
 
-    def test_nul_in_profile_reference_rejected(self, tmp_path):
-        (tmp_path / "sc.cfg").write_text(
-            "pv_profile = a\x00b.csv\nload_profile = load.csv\nsoc_init_pct = 50\n"
-        )
+    def test_nul_in_profile_reference_rejected(self, write_scenario):
+        cfg = write_scenario("sc", "a\x00b.csv", "load.csv", "soc_init_pct = 50")
         with pytest.raises(ValidationError, match="must not hold NUL"):
-            load_scenario(tmp_path / "sc.cfg")
+            load_scenario(cfg)
 
     def test_bundled_name_resolves(self):
         scenario, pv, load = load_scenario("scenario1_high_soc")

@@ -69,6 +69,14 @@ class NanogridParams:
                     f"{name} = {bound!r} outside (0, omega_nom_rad_s), or its"
                     f" {SAMPLES}-sample grid leaves the float range"
                 )
+        # The command is omega_nom_rad_s + plus + minus with minus <= 0, so only
+        # the upward bound can carry it past the float range.
+        plus_max = self.d_omega_plus_max
+        if not self.omega_nom_rad_s + plus_max < math.inf:
+            raise ValidationError(
+                f"d_omega_plus_max = {plus_max!r} overflows omega_nom_rad_s"
+                " + d_omega_plus_max"
+            )
         if not 0.0 < self.e_bat_wh < math.inf:
             raise ValidationError(f"e_bat_wh = {self.e_bat_wh!r} must be finite and > 0")
 

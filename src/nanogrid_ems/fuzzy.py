@@ -9,14 +9,14 @@ rule over a fixed number of uniform samples of the output universe, so
 identical inputs always produce bit-identical outputs.  No constructor
 checks its input; the one builder is ``controller.build_guard_system``.
 
-``FuzzySystem`` compiles its rule base once, at construction, into one
-straight-line Python function from the two crisp inputs to the strength
-of every output term: each input term's degree with exactly the
-arithmetic of ``mf_eval``, then each rule's activation, weight and
-max-aggregation in rule order.  Every output term's samples, sample mass
-and centroid are cached too.  When a single output term fires, ``infer``
-returns that term's cached centroid; otherwise it sums the sampled
-aggregate.
+``FuzzySystem`` compiles its whole inference once, at construction, into
+one Python function of the two crisp inputs that ``infer`` calls: each
+input term's degree with exactly the arithmetic of ``mf_eval``, each
+rule's activation, weight and max-aggregation in rule order, then the
+count of fired output terms.  One fired term gives its cached centroid;
+more are scaled and max-aggregated in term order into two scratch arrays
+that the system owns (so one thread at a time), with no array allocated
+per call, and the sampled centroid of the aggregate is returned.
 
 The midpoint sums stay although the aggregate is piecewise linear and
 has a closed-form centroid: that form differs from the sampled sums in
@@ -118,9 +118,20 @@ class FuzzySystem:
         self._compile()
 
     def _compile(self):
-        # The strengths function: mf_eval of every input term, then every rule
-        # in order.  Only float literals and indices enter its source.
-        lines = ["def strengths(x1, x2):"]
+        dx = (self.output.hi - self.output.lo) / SAMPLES
+        xs = self.output.lo + (np.arange(SAMPLES, dtype=float) + 0.5) * dx
+        values = [
+            np.array([mf_eval(mf, float(x)) for x in xs]) for _, mf in self.output.terms
+        ]
+        masses = [float(v.sum()) for v in values]
+        self._term_centroids = tuple(
+            float(np.dot(xs, v) / mass) if mass > 0.0 else None
+            for v, mass in zip(values, masses)
+        )
+        # The crisp function: mf_eval of every input term, then every rule in
+        # order, then the defuzzification.  Only float literals and names
+        # enter its source; the names are bound in ``namespace``.
+        lines = ["def crisp(x1, x2):"]
         clause_index = {}
         for x, var in zip(("x1", "x2"), self.inputs):
             for term, mf in var.terms:
@@ -133,7 +144,8 @@ class FuzzySystem:
                     f" else ({right} - {x}) / ({right} - {top_hi})"
                 )
         out_terms = self.output.term_names()
-        lines += [f" s{k} = 0.0" for k in range(len(out_terms))]
+        terms = range(len(out_terms))
+        lines += [f" s{k} = 0.0" for k in terms]
         for rule in self.rules:
             # A one-clause rule reads its clause twice: min(a, a) == max(a, a) == a.
             a = clause_index[rule.antecedent[0]]
@@ -144,22 +156,51 @@ class FuzzySystem:
             weight = repr(float(rule.weight))
             lines.append(f" f = {weight} * (d{b} if d{b} {op} d{a} else d{a})")
             lines.append(f" if f > s{k}: s{k} = f")
-        lines.append(f" return [{', '.join(f's{k}' for k in range(len(out_terms)))}]")
-        namespace = {}
+        # Count the fired terms in ints: the comparisons give np.bool_ for
+        # np.float64 inputs, and np.True_ + np.True_ is np.True_.
+        lines.append(" n = " + " + ".join(f"(1 if s{k} > 0.0 else 0)" for k in terms))
+        lines.append(
+            " if n == 0:"
+            ' raise EmptyAggregate(f"no rule of {name!r} fired at ({x1}, {x2})")'
+        )
+        # One fired term: a uniformly scaled term keeps its centroid, and
+        # returning the centroid of the unscaled samples avoids spurious
+        # last-ulp drift.  Its total is the sum of its scaled samples.
+        lines.append(" if n == 1:")
+        for k in terms:
+            test = "if" if k == 0 else "elif"
+            lines.append(f"  {test} s{k} > 0.0: total = s{k} * m{k}; y = c{k}")
+        # Two or more: max-aggregate the scaled samples in term order into
+        # scratch arrays, then take the midpoint centroid.
+        lines.append(" else:")
+        lines.append("  first = True")
+        for k in terms:
+            lines.append(f"  if s{k} > 0.0:")
+            lines.append(f"   if first: multiply(v{k}, s{k}, out=agg); first = False")
+            lines.append(f"   else: maximum(agg, multiply(v{k}, s{k}, out=tmp), out=agg)")
+        lines.append("  total = float(add_reduce(agg))")
+        lines.append(
+            " if total < EMPTY_SUM: raise EmptyAggregate("
+            'f"aggregate of {name!r} integrates to ~0 at ({x1}, {x2})")'
+        )
+        lines.append(" return y if n == 1 else float(dot(agg)) / total")
+        namespace = {
+            "EmptyAggregate": EmptyAggregate,
+            "EMPTY_SUM": _EMPTY_SUM,
+            "name": self.name,
+            "multiply": np.multiply,
+            "maximum": np.maximum,
+            "add_reduce": np.add.reduce,
+            "dot": xs.dot,
+            "agg": np.empty(SAMPLES),
+            "tmp": np.empty(SAMPLES),
+        }
+        for k in terms:
+            namespace[f"v{k}"] = values[k]
+            namespace[f"m{k}"] = masses[k]
+            namespace[f"c{k}"] = self._term_centroids[k]
         exec("\n".join(lines), namespace)
-        self._strengths = namespace["strengths"]
-
-        dx = (self.output.hi - self.output.lo) / SAMPLES
-        xs = self.output.lo + (np.arange(SAMPLES, dtype=float) + 0.5) * dx
-        self._xs = xs
-        self._term_values = tuple(
-            np.array([mf_eval(mf, float(x)) for x in xs]) for _, mf in self.output.terms
-        )
-        self._term_masses = tuple(float(values.sum()) for values in self._term_values)
-        self._term_centroids = tuple(
-            float(np.dot(xs, values) / mass) if mass > 0.0 else None
-            for values, mass in zip(self._term_values, self._term_masses)
-        )
+        self._crisp = namespace["crisp"]
 
     def term_centroid(self, term: str) -> float:
         """Centroid of one output term alone, on the same sample grid as infer."""
@@ -176,30 +217,5 @@ class FuzzySystem:
         Raises EmptyAggregate when no rule fires, which is unreachable for
         a rule base covering the whole input grid.
         """
-        strengths = self._strengths(x1, x2)
-        active = [k for k, strength in enumerate(strengths) if strength > 0.0]
-        if not active:
-            raise EmptyAggregate(f"no rule of {self.name!r} fired at ({x1}, {x2})")
-
-        if len(active) == 1:
-            # A uniformly scaled term keeps its centroid; evaluating it on the
-            # unscaled samples avoids spurious last-ulp drift.
-            k = active[0]
-            if strengths[k] * self._term_masses[k] < _EMPTY_SUM:
-                raise EmptyAggregate(
-                    f"aggregate of {self.name!r} integrates to ~0 at ({x1}, {x2})"
-                )
-            return self._term_centroids[k]
-
-        values = self._term_values
-        aggregate = strengths[active[0]] * values[active[0]]
-        for k in active[1:]:
-            np.maximum(aggregate, strengths[k] * values[k], out=aggregate)
-
-        total = float(aggregate.sum())
-        if total < _EMPTY_SUM:
-            raise EmptyAggregate(
-                f"aggregate of {self.name!r} integrates to ~0 at ({x1}, {x2})"
-            )
-        return float(np.dot(self._xs, aggregate) / total)
+        return self._crisp(x1, x2)
 

@@ -217,6 +217,14 @@ def test_non_finite_config_value_is_one_error_line(
             "params.omega_nom_rad_s = 1e308\nparams.m_aux_rad_s_per_w = 2e303",
             "d_omega_minus_max = 2e+306 outside",
         ),
+        # A bound inside the range whose sum with omega_nom overflows: from SOC
+        # 94.9 the run went through with omega = inf, and summarize named no
+        # config value.
+        (
+            "params.omega_nom_rad_s = 1.7976931348623157e308\n"
+            "params.m_pv_rad_s_per_w = 5e301",
+            "d_omega_plus_max = 1.115e+305 overflows omega_nom_rad_s",
+        ),
     ],
 )
 def test_extreme_plant_value_is_one_error_line(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nanogrid_ems.errors import EmptyAggregate
 from nanogrid_ems.fuzzy import (
     AND,
     OR,
+    SAMPLES,
     FuzzySystem,
     LinguisticVariable,
     MembershipFunction,
@@ -243,6 +245,24 @@ class TestInfer:
                 base.infer(x1, x2), abs=1e-12
             )
 
+    def test_multi_term_infer_allocates_no_array(self, ems):
+        # Bound: one array of SAMPLES floats (8 008 B). The aggregate is built
+        # in two scratch arrays that each system allocates once; a temporary
+        # product or aggregate per call would cost 8 008 B.
+        guard = ems.overcharge_guard
+        points = [(0.2 + i * 1e-4, 0.5) for i in range(1000)]
+        # Each point fires `small` and `large`, so no term centroid comes back.
+        centroids = {guard.term_centroid(t) for t in guard.output.term_names()}
+        assert not any(guard.infer(x1, x2) in centroids for x1, x2 in points)
+        tracemalloc.start()
+        try:
+            for x1, x2 in points:
+                guard.infer(x1, x2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < SAMPLES * 8
+
     def test_matches_reference_on_seeded_random_cases(self):
         rng = random.Random(7)
         for _ in range(10):
@@ -378,3 +398,18 @@ class TestCompiledMatchesSeed:
         for x1 in grid:
             for x2 in grid:
                 assert_same_as_seed(system, x1, x2)
+
+    def test_numpy_float_inputs_take_the_python_float_path(self, ems):
+        # Under numpy 2, np.float64 inputs make np.bool_ comparisons, and
+        # np.True_ + np.True_ is np.True_: a fired-term count built that way
+        # sends the two-term point down the one-term path.
+        guard = ems.overcharge_guard
+        single, double = (0.5, 0.5), (0.25, 0.5)  # `small`; `small` and `large`
+        assert guard.infer(*single) == guard.term_centroid("small")
+        assert guard.infer(*double) not in {
+            guard.term_centroid(t) for t in guard.output.term_names()
+        }
+        for x1, x2 in (single, double):
+            y1, y2 = np.float64(x1), np.float64(x2)
+            assert guard.infer(y1, y2).hex() == guard.infer(x1, x2).hex()
+            assert_same_as_seed(guard, y1, y2)

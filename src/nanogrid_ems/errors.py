@@ -5,10 +5,6 @@ class NanogridError(Exception):
     """Base class for all simulator errors."""
 
 
-class EmptyAggregate(NanogridError):
-    """Every fuzzy rule fired at zero; the rule base does not cover this input."""
-
-
 class SlackOverload(NanogridError):
     """The battery (slack unit) was asked for an implausibly large power."""
 

@@ -30,14 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyAggregate
-
 AND = "and"
 OR = "or"
 
 SAMPLES = 1001  # midpoint samples of every output universe
-# An aggregate summing under 1e-12 per sample is a rule-base coverage bug.
-_EMPTY_SUM = 1e-12 * SAMPLES
 
 
 @dataclass(frozen=True)
@@ -123,10 +119,8 @@ class FuzzySystem:
         values = [
             np.array([mf_eval(mf, float(x)) for x in xs]) for _, mf in self.output.terms
         ]
-        masses = [float(v.sum()) for v in values]
         self._term_centroids = tuple(
-            float(np.dot(xs, v) / mass) if mass > 0.0 else None
-            for v, mass in zip(values, masses)
+            float(np.dot(xs, v) / float(v.sum())) for v in values
         )
         # The crisp function: mf_eval of every input term, then every rule in
         # order, then the defuzzification.  Only float literals and names
@@ -159,35 +153,21 @@ class FuzzySystem:
         # Count the fired terms in ints: the comparisons give np.bool_ for
         # np.float64 inputs, and np.True_ + np.True_ is np.True_.
         lines.append(" n = " + " + ".join(f"(1 if s{k} > 0.0 else 0)" for k in terms))
-        lines.append(
-            " if n == 0:"
-            ' raise EmptyAggregate(f"no rule of {name!r} fired at ({x1}, {x2})")'
-        )
         # One fired term: a uniformly scaled term keeps its centroid, and
         # returning the centroid of the unscaled samples avoids spurious
-        # last-ulp drift.  Its total is the sum of its scaled samples.
+        # last-ulp drift.
         lines.append(" if n == 1:")
         for k in terms:
-            test = "if" if k == 0 else "elif"
-            lines.append(f"  {test} s{k} > 0.0: total = s{k} * m{k}; y = c{k}")
+            lines.append(f"  if s{k} > 0.0: return c{k}")
         # Two or more: max-aggregate the scaled samples in term order into
         # scratch arrays, then take the midpoint centroid.
-        lines.append(" else:")
-        lines.append("  first = True")
+        lines.append(" first = True")
         for k in terms:
-            lines.append(f"  if s{k} > 0.0:")
-            lines.append(f"   if first: multiply(v{k}, s{k}, out=agg); first = False")
-            lines.append(f"   else: maximum(agg, multiply(v{k}, s{k}, out=tmp), out=agg)")
-        lines.append("  total = float(add_reduce(agg))")
-        lines.append(
-            " if total < EMPTY_SUM: raise EmptyAggregate("
-            'f"aggregate of {name!r} integrates to ~0 at ({x1}, {x2})")'
-        )
-        lines.append(" return y if n == 1 else float(dot(agg)) / total")
+            lines.append(f" if s{k} > 0.0:")
+            lines.append(f"  if first: multiply(v{k}, s{k}, out=agg); first = False")
+            lines.append(f"  else: maximum(agg, multiply(v{k}, s{k}, out=tmp), out=agg)")
+        lines.append(" return float(dot(agg)) / float(add_reduce(agg))")
         namespace = {
-            "EmptyAggregate": EmptyAggregate,
-            "EMPTY_SUM": _EMPTY_SUM,
-            "name": self.name,
             "multiply": np.multiply,
             "maximum": np.maximum,
             "add_reduce": np.add.reduce,
@@ -197,25 +177,23 @@ class FuzzySystem:
         }
         for k in terms:
             namespace[f"v{k}"] = values[k]
-            namespace[f"m{k}"] = masses[k]
             namespace[f"c{k}"] = self._term_centroids[k]
         exec("\n".join(lines), namespace)
         self._crisp = namespace["crisp"]
 
     def term_centroid(self, term: str) -> float:
         """Centroid of one output term alone, on the same sample grid as infer."""
-        centroid = self._term_centroids[self.output.term_names().index(term)]
-        if centroid is None:
-            raise EmptyAggregate(
-                f"term {term!r} of {self.name!r} has no mass on the sample grid"
-            )
-        return centroid
+        return self._term_centroids[self.output.term_names().index(term)]
 
     def infer(self, x1: float, x2: float) -> float:
         """Crisp output for the two (already clamped) crisp inputs.
 
-        Raises EmptyAggregate when no rule fires, which is unreachable for
-        a rule base covering the whole input grid.
+        Precondition: every output term has mass on the sample grid, and
+        some rule fires at (x1, x2) strongly enough that its scaled term
+        keeps a nonzero sum.  The guards of ``controller.build_guard_system``
+        meet it on all of [0, 1]^2 (each term keeps at least 100 samples of
+        mass, and some rule fires at 0.5 or more); outside it the value is
+        undefined and nothing is raised.
         """
         return self._crisp(x1, x2)
 

@@ -10,7 +10,6 @@ sampled inference so the compiled one can be checked to the bit."""
 
 import numpy as np
 
-from nanogrid_ems.errors import EmptyAggregate
 from nanogrid_ems.fuzzy import (
     SAMPLES,
     FuzzySystem,
@@ -132,11 +131,20 @@ def calibrated_shift_reference(system, bound, x1, x2, samples=FINE_SAMPLES):
 #
 # Verbatim copies of the package's original dict-and-numpy ``mf_eval``,
 # ``fuzzify``, sampling, ``term_centroid`` and ``infer``.  The compiled
-# ``FuzzySystem`` must agree with them to the bit.  Only the empty-aggregate
-# test differs from the original: like the package's, it compares the sample
-# sum with a share of the sample count, not the integral with an absolute floor.
+# ``FuzzySystem`` must agree with them to the bit wherever ``infer``'s
+# precondition holds.  Only the empty-aggregate test differs from the
+# original: it compares the sample sum with a share of the sample count, not
+# the integral with an absolute floor, and it raises this module's own error.
 
 _EMPTY_INTEGRAL = 1e-12
+
+
+class EmptyAggregate(ArithmeticError):
+    """The seed's error for an input outside ``FuzzySystem.infer``'s
+    precondition: no rule fired, the aggregate integrates to ~0, or a
+    term has no mass on the sample grid.  The package checks none of these."""
+
+
 # (system, xs, term values, term centroids) of the last system sampled.
 _seed_cache = None
 
@@ -173,6 +181,14 @@ def _sampled_seed(system):
         }
         _seed_cache = (system, xs, term_values, {})
     return _seed_cache[1:]
+
+
+def has_sample_mass(var):
+    """Whether every term of ``var`` is nonzero at some sample of the seed's
+    grid over its universe, as ``FuzzySystem.infer`` asks of its output."""
+    dx = (var.hi - var.lo) / SAMPLES
+    xs = var.lo + (np.arange(SAMPLES, dtype=float) + 0.5) * dx
+    return all(any(_mf_eval_seed(mf, float(x)) for x in xs) for _, mf in var.terms)
 
 
 def term_centroid_seed(system, term):

@@ -2,6 +2,7 @@ import math
 from dataclasses import fields
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,10 @@ from nanogrid_ems.controller import (
     make_controller,
 )
 from nanogrid_ems.errors import ValidationError
+from nanogrid_ems.fuzzy import AND, SAMPLES, mf_eval
 
 import reference_seed
-from reference_fuzzy import calibrated_shift_reference
+from reference_fuzzy import calibrated_shift_reference, membership_curve
 
 # Reference values for the mid-grid operating point, computed with the
 # fine-grid brute-force pipeline (10^6 Riemann samples) before the main
@@ -127,19 +129,30 @@ def bound_params(plus, minus):
     )
 
 
+# Both ends of the accepted range and every power of two between them.
+SWEPT_BOUNDS = [LEAST_BOUND, *(2.0**k for k in range(-1065, 1015)), GREATEST_BOUND]
+
+
+def swept_controllers():
+    """``(params, FuzzyEms(params))`` over SWEPT_BOUNDS.
+
+    Each controller takes one bound from each half of the list, so every
+    bound spans one guard once.
+    """
+    half = len(SWEPT_BOUNDS) // 2
+    for plus_max, minus_max in zip(SWEPT_BOUNDS[:half], reversed(SWEPT_BOUNDS[half:])):
+        params = bound_params(plus_max, minus_max)
+        yield params, FuzzyEms(params)
+
+
 class TestShiftBoundRange:
     """Every bound that NanogridParams accepts builds working guards."""
 
     def test_guards_work_at_the_ends_and_every_power_of_two(self):
         assert 2.0**-1066 < LEAST_BOUND < 2.0**-1065
         assert 2.0**1014 < GREATEST_BOUND < 2.0**1015
-        bounds = [LEAST_BOUND, *(2.0**k for k in range(-1065, 1015)), GREATEST_BOUND]
-        # Each controller takes one bound from each half of the list, so
-        # every bound spans one guard once.
-        half = len(bounds) // 2
-        for plus_max, minus_max in zip(bounds[:half], reversed(bounds[half:])):
-            params = bound_params(plus_max, minus_max)
-            ems = FuzzyEms(params)
+        for params, ems in swept_controllers():
+            plus_max, minus_max = params.d_omega_plus_max, params.d_omega_minus_max
             for guard in (ems.overcharge_guard, ems.depletion_guard):
                 zero, large = guard.term_centroid("zero"), guard.term_centroid("large")
                 assert math.isfinite(zero) and math.isfinite(large), params
@@ -162,6 +175,40 @@ class TestShiftBoundRange:
         plus, minus = (bound, 1.0) if name == "d_omega_plus_max" else (1.0, bound)
         with pytest.raises(ValidationError, match=name):
             bound_params(plus, minus)
+
+    def test_guards_meet_the_inference_precondition(self):
+        """``FuzzySystem.infer``'s precondition holds at every swept bound.
+
+        Each term of both guards keeps at least 100 samples of mass with a
+        finite centroid, and some rule fires at 0.5 or more at every point of
+        a 401 x 401 grid over [0, 1]^2, so an aggregate sums to at least 50.
+        """
+        rule_bases = set()
+        for params, ems in swept_controllers():
+            for guard in (ems.overcharge_guard, ems.depletion_guard):
+                out = guard.output
+                dx = (out.hi - out.lo) / SAMPLES
+                xs = out.lo + (np.arange(SAMPLES, dtype=float) + 0.5) * dx
+                for term, mf in out.terms:
+                    assert membership_curve(mf.points, xs).sum() >= 100.0, (params, term)
+                    assert math.isfinite(guard.term_centroid(term)), (params, term)
+                rule_bases.add((guard.inputs, guard.rules))
+        # The firing strengths do not depend on the bound: every guard has the
+        # same inputs and rules.
+        ((in1, in2), rules) = rule_bases.pop()
+        assert not rule_bases
+        grid = [i / 400 for i in range(401)]
+        degrees = {}
+        for var, shape in ((in1, (-1, 1)), (in2, (1, -1))):
+            for term, mf in var.terms:
+                curve = np.array([mf_eval(mf, x) for x in grid]).reshape(shape)
+                degrees[var.name, term] = curve
+        strongest = np.zeros((len(grid), len(grid)))
+        for rule in rules:
+            first, last = degrees[rule.antecedent[0]], degrees[rule.antecedent[-1]]
+            combine = np.minimum if rule.connective == AND else np.maximum
+            np.maximum(strongest, rule.weight * combine(first, last), out=strongest)
+        assert strongest.min() >= 0.5
 
 
 class TestNormalizations:

@@ -6,15 +6,23 @@ measured-style inputs of ``perfbench/measured.py`` runs in-process through
 must equal the pinned digest.  The digests are only read here; they are
 rewritten by ``perfbench/make_golden.py`` in a change that alters outputs
 on purpose.
+
+One more test runs a pinned flc invocation in a child process whose
+OpenBLAS uses another CPU's kernels; it records ROADMAP item 10's defect.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import nanogrid_ems
 from nanogrid_ems.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,6 +63,44 @@ def test_measured_compare_matches_golden_digests(tmp_path, capsys):
     out = tmp_path / "out"
     status = main(["compare", str(config), "--out", str(out)])
     assert_matches_pins(status, out, GOLDEN["compare measured_day seed=1"], capsys)
+
+
+def blas_reads_coretype():
+    """Whether numpy's OpenBLAS is a DYNAMIC_ARCH build, the kind that picks
+    its kernels by CPU and lets ``OPENBLAS_CORETYPE`` override the pick."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no "dicts" mode
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not blas_reads_coretype(), reason="OPENBLAS_CORETYPE is ignored")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 10: np.dot sums in the order of the CPU's BLAS kernel",
+)
+def test_flc_pins_hold_under_another_blas_kernel(tmp_path):
+    label = "run scenario1_high_soc --controller flc"
+    pins = GOLDEN[label]
+    out = tmp_path / "out"
+    src = str(Path(nanogrid_ems.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": "Prescott"}
+    child = subprocess.run(
+        [sys.executable, "-m", "nanogrid_ems", *label.split(), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    # A child that fails is no evidence on the kernel: not an AssertionError.
+    if child.returncode != 0 or child.stderr:
+        pytest.fail(f"exit {child.returncode}: {child.stderr.decode(errors='replace')}")
+    blobs = {"stdout": child.stdout}
+    blobs |= {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(blobs) == set(pins)
+    for name, data in blobs.items():
+        assert hashlib.sha256(data).hexdigest() == pins[name], name
 
 
 def assert_matches_pins(status, out, pins, capsys):
